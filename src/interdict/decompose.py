@@ -79,16 +79,10 @@ def compute_layers(tree: RootedTree) -> tuple[dict[int, int], dict[int, int]]:
     """
     layer = {tree.root: 1}
     edge_layer: dict[int, int] = {}
-    frontier = [tree.root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            lv = layer[v]
-            for c in tree.children[v]:
-                layer[c] = lv + 1 if tree.degree(c) > 2 else lv
-                edge_layer[c] = lv
-                nxt.append(c)
-        frontier = nxt
+    for c in tree.bfs_order[1:]:
+        lp = layer[tree.parent[c]]
+        layer[c] = lp + 1 if tree.degree(c) > 2 else lp
+        edge_layer[c] = lp
     return layer, edge_layer
 
 

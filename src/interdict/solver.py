@@ -34,8 +34,11 @@ import numpy as np
 
 from .chains import ChainTable, chain_g_table
 from .decompose import Decomposition, decompose
-from .tree import RootedTree, Solution, apply_upgrades, evaluate_min_distance
+from .errors import InstanceError
+from .tree import (RootedTree, Solution, _leaf_distances, apply_upgrades,
+                   evaluate_min_distance)
 
+_INT64_MAX = np.iinfo(np.int64).max
 _NEG = np.int64(np.iinfo(np.int64).min // 4)
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -113,7 +116,8 @@ def _maxplus(a: np.ndarray, b: np.ndarray, out_len: int):
             view[mask] = seg[mask]
             idx = np.nonzero(mask)[0]
             arg[j + idx] = idx
-    assert out.min() > _NEG, "uncovered dp cell"
+    if out.min() <= _NEG:
+        raise RuntimeError("internal error: uncovered dp cell")
     return out, arg
 
 
@@ -140,19 +144,16 @@ def _maxmin(a: np.ndarray, b: np.ndarray, out_len: int):
             view[mask] = seg[mask]
             idx = np.nonzero(mask)[0]
             arg[j + idx] = idx
-    assert out.min() > _NEG, "uncovered dp cell"
+    if out.min() <= _NEG:
+        raise RuntimeError("internal error: uncovered dp cell")
     return out, arg
 
 
 def _subtree_nonleaf_counts(tree: RootedTree) -> dict[int, int]:
     """Upgradable-node count of every node's subtree (leaves count 0)."""
-    order = [tree.root]
-    for v in order:
-        order.extend(tree.children[v])
     counts = {v: (0 if tree.is_leaf(v) else 1) for v in tree.nodes}
-    for v in reversed(order):
-        for c in tree.children[v]:
-            counts[v] += counts[c]
+    for v in reversed(tree.bfs_order[1:]):
+        counts[tree.parent[v]] += counts[v]
     return counts
 
 
@@ -202,14 +203,25 @@ def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
         mask = sl.f1 > view
         view[mask] = sl.f1[mask]
         eps[1: len(sl.f1) + 1][mask] = 1
-    assert best.min() > _NEG
+    if best.min() <= _NEG:
+        raise RuntimeError("internal error: uncovered dp cell")
     return best, eps
 
 
 def build_tables(tree: RootedTree, budget: int) -> DpTables:
-    """Run the full bottom-up pass; budgets above the upgradable count clamp."""
+    """Run the full bottom-up pass; budgets above the upgradable count clamp.
+
+    Tables hold int64 cells, each bounded by the longest all-upgraded
+    root-leaf path; trees where that path exceeds the int64 range raise
+    :class:`InstanceError`.
+    """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    longest = max(_leaf_distances(tree, tree.non_leaves))
+    if longest > _INT64_MAX:
+        raise InstanceError(
+            f"longest all-upgraded root-leaf path is {longest}, above the "
+            f"int64 table limit {_INT64_MAX}")
     dec = decompose(tree)
     counts = _subtree_nonleaf_counts(tree)
     k_cap = min(budget, counts[tree.root])
@@ -236,7 +248,10 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                 prefix_cap += branch_cap - 1
                 prefix = combine_parallel(sl, prefix, prefix_cap, k_cap)
             parallel[(v, q)] = prefix
-        assert prefix_cap == counts[v]
+        if prefix_cap != counts[v]:
+            raise RuntimeError(
+                f"internal error: junction {v} covers {prefix_cap} upgradable "
+                f"nodes, expected {counts[v]}")
         subtree_best[v], subtree_eps[v] = _collapse(prefix)
 
     return DpTables(

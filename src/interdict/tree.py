@@ -7,6 +7,12 @@ non-leaf node raises every edge from that node to its children from ``w``
 to ``u``; the quantity being attacked or defended is the minimum over all
 leaves of the root-to-leaf path length.
 
+A tree is stored once, as the dicts ``parent``/``children``/``w``/``u``
+keyed by node id, plus ``bfs_order``: every node reachable from the root,
+root first, so each parent precedes its children. Whole-tree passes walk
+that one order, top-down or reversed for bottom-up; the evaluator is a
+single top-down distance pass in exact integers.
+
 Trees are immutable after construction and safe to share across threads.
 Use :func:`build_tree` to construct one; it performs all validation.
 """
@@ -14,9 +20,7 @@ Use :func:`build_tree` to construct one; it performs all validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -34,6 +38,10 @@ EdgeRecord = tuple[int, int, int, int]  # (child, parent, w, u)
 class RootedTree:
     """Immutable rooted tree with per-edge base and upgraded lengths.
 
+    ``parent``, ``w`` and ``u`` are keyed by child (edge) id, ``children``
+    by node id with sorted tuples. ``bfs_order`` lists the nodes
+    breadth-first from the root, children in ascending id.
+
     Do not call the constructor directly; it assumes pre-validated input.
     :func:`build_tree` validates and builds.
     """
@@ -48,12 +56,7 @@ class RootedTree:
         "nodes",
         "leaves",
         "non_leaves",
-        "_index",
-        "_parent_idx",
-        "_w_arr",
-        "_u_arr",
-        "_flat_paths",
-        "_path_offsets",
+        "bfs_order",
     )
 
     def __init__(self, parent: Mapping[int, int], w: Mapping[int, int],
@@ -75,31 +78,11 @@ class RootedTree:
         self.leaves = frozenset(v for v, cs in self.children.items() if not cs)
         self.non_leaves = frozenset(self.children) - self.leaves
 
-        # Dense arrays for the vectorized evaluator. The root's edge slot is
-        # unused and stays at weight 0.
-        n = self.node_count
-        self._index = {v: i for i, v in enumerate(self.nodes)}
-        self._parent_idx = np.zeros(n, dtype=np.int64)
-        self._w_arr = np.zeros(n, dtype=np.int64)
-        self._u_arr = np.zeros(n, dtype=np.int64)
-        for c, p in self.parent.items():
-            i = self._index[c]
-            self._parent_idx[i] = self._index[p]
-            self._w_arr[i] = self.w[c]
-            self._u_arr[i] = self.u[c]
-
-        flat: list[int] = []
-        offsets: list[int] = []
-        for leaf in sorted(self.leaves):
-            offsets.append(len(flat))
-            path = []
-            v = leaf
-            while v != root:
-                path.append(self._index[v])
-                v = self.parent[v]
-            flat.extend(reversed(path))
-        self._flat_paths = np.asarray(flat, dtype=np.int64)
-        self._path_offsets = np.asarray(offsets, dtype=np.int64)
+        # Nodes on a cycle are never reached; build_tree rejects those trees.
+        order = [root]
+        for v in order:
+            order.extend(self.children[v])
+        self.bfs_order = tuple(order)
 
     def degree(self, v: int) -> int:
         """Undirected degree: child edges plus the parent edge (if any)."""
@@ -165,24 +148,11 @@ def build_tree(edge_records: Sequence[EdgeRecord], root: int) -> RootedTree:
         raise DisconnectedInput(
             f"nodes {sorted(stray)} are used as parents but never reach the root")
 
-    # BFS from the root; anything unvisited sits on a cycle.
-    children: dict[int, list[int]] = {}
-    for c, p in parent.items():
-        children.setdefault(p, []).append(c)
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for c in children.get(v, ()):
-                seen.add(c)
-                nxt.append(c)
-        frontier = nxt
-    if len(seen) != len(parent) + 1:
-        cyclic = sorted(set(parent) - seen)
+    tree = RootedTree(parent, w, u, root)
+    if len(tree.bfs_order) != tree.node_count:
+        cyclic = sorted(set(parent) - set(tree.bfs_order))
         raise CycleDetected(f"nodes {cyclic} form a cycle")
-
-    return RootedTree(parent, w, u, root)
+    return tree
 
 
 def apply_upgrades(tree: RootedTree, upgraded: Iterable[int]) -> dict[int, int]:
@@ -190,6 +160,16 @@ def apply_upgrades(tree: RootedTree, upgraded: Iterable[int]) -> dict[int, int]:
     s = set(upgraded)
     return {c: (tree.u[c] if p in s else tree.w[c])
             for c, p in tree.parent.items()}
+
+
+def _leaf_distances(tree: RootedTree, upgraded: frozenset[int]) -> Iterator[int]:
+    """Root-to-leaf lengths under ``upgraded``: one top-down pass, exact ints."""
+    parent, w, u = tree.parent, tree.w, tree.u
+    dist = {tree.root: 0}
+    for v in tree.bfs_order[1:]:
+        p = parent[v]
+        dist[v] = dist[p] + (u[v] if p in upgraded else w[v])
+    return (dist[leaf] for leaf in tree.leaves)
 
 
 def evaluate_min_distance(tree: RootedTree, upgraded: Iterable[int]) -> int:
@@ -203,16 +183,10 @@ def evaluate_min_distance(tree: RootedTree, upgraded: Iterable[int]) -> int:
     bad_leaves = s & tree.leaves
     if bad_leaves:
         raise LeafInSet(f"cannot upgrade leaf nodes {sorted(bad_leaves)}")
-    unknown = [v for v in s if v not in tree._index]
+    unknown = [v for v in s if v not in tree.children]
     if unknown:
         raise ValueError(f"unknown node ids {sorted(unknown)}")
-
-    mask = np.zeros(tree.node_count, dtype=bool)
-    if s:
-        mask[[tree._index[v] for v in s]] = True
-    lengths = np.where(mask[tree._parent_idx], tree._u_arr, tree._w_arr)
-    sums = np.add.reduceat(lengths[tree._flat_paths], tree._path_offsets)
-    return int(sums.min())
+    return min(_leaf_distances(tree, s))
 
 
 def all_upgraded_min_distance(tree: RootedTree) -> int:

@@ -187,3 +187,39 @@ def test_console_entry_point(ex1_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 13
+
+
+def run_module(*argv, optimize=False):
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "interdict", *argv],
+                          capture_output=True, text=True)
+
+
+def test_optimized_interpreter_keeps_checks(ex1_file, tmp_path):
+    proc = run_module("solve-max", ex1_file, "--budget", "1",
+                      "--format", "json", optimize=True)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["value"] == 13 and doc["upgraded"] == [1]
+
+    proc = run_module("solve-cost", ex1_file, "--target", "14",
+                      "--format", "json", optimize=True)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["kstar"] == 2
+
+    # Root-leaf paths of two 2**62 edges wrap int64 table cells.
+    x = 2**62
+    wrap = tmp_path / "wrap.txt"
+    wrap.write_text(f"4 1\n2 1 {x} {x}\n3 2 {x} {x}\n4 2 {x} {x}\n")
+    proc = run_module("solve-max", str(wrap), "--budget", "1", optimize=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_length_past_int64_is_input_error(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"2 1\n2 1 0 {2**63}\n")
+    for argv in (["solve-max", str(path), "--budget", "1"],
+                 ["solve-cost", str(path), "--target", "1"]):
+        proc = run_module(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr

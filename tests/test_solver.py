@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from interdict import (
+    InstanceError,
     all_upgraded_min_distance,
     brute_force_max,
     build_tables,
@@ -10,6 +12,7 @@ from interdict import (
     evaluate_min_distance,
     solve_max,
 )
+from interdict.solver import _maxmin, _maxplus
 
 
 def branch_index(tables, v, h):
@@ -123,6 +126,37 @@ class TestSolve:
             again = solve_max(ex1, 2)
             assert again.value == reference.value
             assert again.upgraded == reference.upgraded
+
+
+class TestInt64Range:
+    def test_path_of_two_pow_63_rejected(self):
+        tree = build_tree([(i, i - 1, 2**61, 2**61) for i in range(2, 6)], 1)
+        assert evaluate_min_distance(tree, ()) == 2**63
+        with pytest.raises(InstanceError, match="int64"):
+            solve_max(tree, 1)
+
+    def test_upgraded_length_past_int64_rejected(self):
+        # Base lengths fit; only the upgraded path leaves the range.
+        tree = build_tree([(2, 1, 0, 2**63)], 1)
+        with pytest.raises(InstanceError):
+            build_tables(tree, 0)
+
+    def test_largest_int64_path_solved_exactly(self):
+        top = 2**62
+        tree = build_tree([(2, 1, 0, top), (3, 2, 0, top - 1)], 1)
+        sol = solve_max(tree, 2)
+        assert sol.value == 2**63 - 1 and sol.upgraded == {1, 2}
+
+
+class TestInvariantsSurviveOptimize:
+    """Uncovered cells raise RuntimeError, which ``python -O`` keeps."""
+
+    @pytest.mark.parametrize("merge", [_maxplus, _maxmin])
+    def test_uncovered_cell_raises(self, merge):
+        a = np.array([1, 2], dtype=np.int64)
+        b = np.array([3], dtype=np.int64)
+        with pytest.raises(RuntimeError, match="uncovered dp cell"):
+            merge(a, b, a.size + b.size)
 
 
 class TestAgainstOracle:

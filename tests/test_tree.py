@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from interdict import (
     all_upgraded_min_distance,
     apply_upgrades,
     build_tree,
+    decompose,
     evaluate_min_distance,
     random_tree,
 )
@@ -64,7 +66,7 @@ class TestBuildTree:
             build_tree([(2, 1, -1, 2)], root=1)
 
     def test_cycle(self):
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected, match=r"nodes \[2, 3\] form a cycle"):
             build_tree([(2, 3, 1, 1), (3, 2, 1, 1), (4, 1, 1, 1)], root=1)
 
     def test_root_with_parent(self):
@@ -78,6 +80,16 @@ class TestBuildTree:
     def test_children_sorted(self):
         t = build_tree([(5, 1, 1, 1), (3, 1, 1, 1), (4, 1, 1, 1)], root=1)
         assert t.children[1] == (3, 4, 5)
+
+    def test_bfs_order(self, ex1):
+        assert ex1.bfs_order == (1, 2, 5, 7, 3, 4, 6, 8, 9, 10)
+        for seed in range(20):
+            tree = random_tree(GeneratorConfig(n=30, seed=seed, shape="binary-ish"))
+            assert sorted(tree.bfs_order) == list(tree.nodes)
+            seen = set()
+            for v in tree.bfs_order:
+                assert v == tree.root or tree.parent[v] in seen
+                seen.add(v)
 
 
 class TestEvaluate:
@@ -105,17 +117,19 @@ class TestEvaluate:
 
     def test_matches_naive_recompute(self):
         rng = random.Random(7)
-        checked = 0
-        while checked < 1000:
-            n = rng.randint(2, 14)
-            cfg = GeneratorConfig(n=n, seed=rng.randrange(2**32), w_max=9,
-                                  delta_max=9, shape="uniform-attachment")
-            tree = random_tree(cfg)
-            pool = sorted(tree.non_leaves)
-            for _ in range(4):
-                s = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
-                assert evaluate_min_distance(tree, s) == naive_min_distance(tree, s)
-                checked += 1
+        for shape in ("uniform-attachment", "caterpillar", "broom"):
+            checked = 0
+            while checked < 1000:
+                n = rng.randint(2, 14)
+                cfg = GeneratorConfig(n=n, seed=rng.randrange(2**32), w_max=9,
+                                      delta_max=9, shape=shape)
+                tree = random_tree(cfg)
+                pool = sorted(tree.non_leaves)
+                for _ in range(4):
+                    s = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+                    assert (evaluate_min_distance(tree, s)
+                            == naive_min_distance(tree, s))
+                    checked += 1
 
     def test_monotone_in_set(self):
         rng = random.Random(11)
@@ -147,3 +161,51 @@ class TestAllUpgraded:
         assert ex1.w[5] == 1 and ex1.w[6] == 8 and ex1.w[3] == 7
         assert all(u == 10 for u in ex1.u.values())
         assert EX1_RECORDS[0] == (2, 1, 6, 10)
+
+
+def _deep_records(shape, n, seed):
+    """Broom or caterpillar on ids 1..n, every parent id below its child's."""
+    rng = random.Random(seed)
+    handle, spine = n // 2, (n + 1) // 2
+    records = []
+    for i in range(2, n + 1):
+        if shape == "broom":
+            p = i - 1 if i <= handle + 1 else handle + 1
+        else:
+            p = i - 1 if i <= spine else rng.randrange(1, spine + 1)
+        w = rng.randint(0, 100)
+        records.append((i, p, w, w + rng.randint(0, 100)))
+    return records
+
+
+def _top_down_min(records, n, use_u):
+    """Independent recompute: ids ascend from parent to child."""
+    dist = [0] * (n + 1)
+    has_child = [False] * (n + 1)
+    for c, p, w, u in records:
+        dist[c] = dist[p] + (u if use_u else w)
+        has_child[p] = True
+    return min(dist[v] for v in range(2, n + 1) if not has_child[v])
+
+
+class TestDeepTrees:
+    """A per-leaf path store would hold about 2.5e9 entries for this broom."""
+
+    @pytest.mark.parametrize("shape", ["broom", "caterpillar"])
+    def test_linear_memory(self, shape):
+        n = 100_000
+        records = _deep_records(shape, n, seed=3)
+        tracemalloc.start()
+        try:
+            tree = build_tree(records, root=1)
+            base = evaluate_min_distance(tree, ())
+            ceiling = all_upgraded_min_distance(tree)
+            dec = decompose(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20
+        assert tree.node_count == n and len(tree.bfs_order) == n
+        assert len(dec.layer) == n
+        assert base == _top_down_min(records, n, use_u=False)
+        assert ceiling == _top_down_min(records, n, use_u=True)
