@@ -1,10 +1,16 @@
 """Minimum-budget search: fewest upgrades to reach a target distance.
 
-The optimum value of the budgeted solve is non-decreasing in the budget, so
-the smallest sufficient budget is found by bisection over [0, upgradable
-count], one full solve per probe. The search keeps the invariant
-``value(lo) < target <= value(hi)`` after explicitly checking budget 0 and
-the all-upgraded ceiling, so the answer is minimal by construction.
+One table pass at the full budget (the upgradable count) holds the
+budgeted optimum for every budget at once: ``subtree_best[root][k]`` is the
+best value with ``k`` upgrades. That profile is non-decreasing, so the
+smallest sufficient budget k* is its first index reaching the target, and
+the witness is the backpointer walk started at k*. Cells at ``k <= k*``
+read only lower indices and break ties towards the smallest index, so they
+equal those of a pass capped at k*: the witness is ``solve_max(tree, k*)``.
+
+Every table is capped by its subtree's upgradable count, so the pass is
+O(n^2) by the tree-knapsack argument (Johnson & Niemi, Math. Oper. Res.
+1983), below the paper's O(n^3 log n) bisection.
 """
 
 from __future__ import annotations
@@ -12,13 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TargetUnreachable
-from .solver import solve_max
+from .solver import _read_solution, build_tables
 from .tree import RootedTree, Solution, all_upgraded_min_distance
 
 
 @dataclass(frozen=True)
 class BudgetQuery:
-    """Trace of one search: target, final bracket, probes as (budget, value)."""
+    """Trace of one search: target, final bracket, table passes as
+    (budget, value).
+
+    ``bounds`` is ``(k* - 1, k*)``, or ``(0, 0)`` when k* = 0. ``probes``
+    holds the single full-budget pass: the upgradable count and the
+    ceiling.
+    """
 
     target: int
     bounds: tuple[int, int]
@@ -46,25 +58,14 @@ def solve_cost(tree: RootedTree, target: int) -> CostResult:
     if target > ceiling:
         raise TargetUnreachable(target, ceiling)
 
-    cache: dict[int, Solution] = {}
-    probes: list[tuple[int, int]] = []
-
-    def probe(k: int) -> Solution:
-        sol = solve_max(tree, k)
-        cache[k] = sol
-        probes.append((k, sol.value))
-        return sol
-
-    base = probe(0)
-    if base.value >= target:
-        return CostResult(0, base, BudgetQuery(target, (0, 0), tuple(probes)))
-
-    lo, hi = 0, len(tree.non_leaves)  # value(hi) = ceiling >= target
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if probe(mid).value >= target:
-            hi = mid
-        else:
-            lo = mid
-    witness = cache.get(hi) or probe(hi)
-    return CostResult(hi, witness, BudgetQuery(target, (lo, hi), tuple(probes)))
+    tables = build_tables(tree, len(tree.non_leaves))
+    profile = tables.subtree_best[tree.root]
+    if (profile[1:] < profile[:-1]).any() or profile[-1] != ceiling:
+        raise RuntimeError(
+            "internal error: budget profile is not non-decreasing up to the "
+            f"ceiling {ceiling}")
+    kstar = int(profile.searchsorted(target, side="left"))
+    bounds = (0, 0) if kstar == 0 else (kstar - 1, kstar)
+    probes = ((tables.budget, int(profile[-1])),)
+    return CostResult(kstar, _read_solution(tables, kstar),
+                      BudgetQuery(target, bounds, probes))

@@ -1,7 +1,7 @@
 """Brute-force oracles: exact by enumeration, for testing the fast solvers.
 
 Guarded to small instances; these are the independent ground truth the
-dynamic program and the bisection are verified against.
+dynamic program and the minimum-budget search are verified against.
 """
 
 from __future__ import annotations

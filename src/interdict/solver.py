@@ -20,7 +20,8 @@ Both steps are (max,+) / (max,min) convolutions over dense budget arrays;
 all feasible cells are contiguous, so no sparsity handling is needed. Cell
 counts are clamped by the number of upgradable (non-leaf) nodes in each
 region and by the overall budget, which keeps the whole solve within
-O(n * K^2).
+O(n * K^2); with K unclamped (the minimum-budget search) the subtree caps
+alone bound it by O(n^2), the tree-knapsack argument.
 
 Ties in every argmax prefer eps=0, then the smallest branch-side budget,
 which makes reported upgrade sets deterministic.
@@ -35,7 +36,7 @@ import numpy as np
 from .chains import ChainTable, chain_g_table
 from .decompose import Decomposition, decompose
 from .errors import InstanceError
-from .tree import (RootedTree, Solution, _leaf_distances, apply_upgrades,
+from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
                    evaluate_min_distance)
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -266,12 +267,12 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     )
 
 
-def _extract_upgrades(tables: DpTables) -> set[int]:
-    """Walk backpointers from the root and materialize the upgrade set."""
+def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
+    """Walk backpointers from the root cell for budget ``k_root`` and
+    materialize the upgrade set."""
     dec = tables.decomposition
     tree = tables.tree
     upgraded: set[int] = set()
-    k_root = tables.budget
     stack = [(tree.root, int(tables.subtree_eps[tree.root][k_root]), k_root)]
     while stack:
         v, eps, k = stack.pop()
@@ -293,19 +294,28 @@ def _extract_upgrades(tables: DpTables) -> set[int]:
     return upgraded
 
 
-def solve_max(tree: RootedTree, budget: int) -> Solution:
-    """Maximize the shortest root-leaf distance with at most ``budget``
-    node upgrades; exact, with the realized upgrade set.
+def _read_solution(tables: DpTables, k: int) -> Solution:
+    """Optimum with at most ``k <= tables.budget`` upgrades and its set.
 
-    The returned value is re-checked against the direct evaluator before
+    The table value is re-checked against the direct evaluator before
     returning, so a solution can never silently disagree with its set.
     """
-    tables = build_tables(tree, budget)
-    value = int(tables.subtree_best[tree.root][tables.budget])
-    upgraded = frozenset(_extract_upgrades(tables))
+    tree = tables.tree
+    value = int(tables.subtree_best[tree.root][k])
+    upgraded = frozenset(_extract_upgrades(tables, k))
     realized = evaluate_min_distance(tree, upgraded)
     if realized != value:
         raise RuntimeError(
             f"internal error: table value {value} but set realizes {realized}")
     return Solution(value=value, upgraded=upgraded,
-                    applied_weights=apply_upgrades(tree, upgraded))
+                    applied_weights=AppliedWeights(tree, upgraded))
+
+
+def solve_max(tree: RootedTree, budget: int) -> Solution:
+    """Maximize the shortest root-leaf distance with at most ``budget``
+    node upgrades; exact, with the realized upgrade set.
+
+    The value is re-checked against the direct evaluator before returning.
+    """
+    tables = build_tables(tree, budget)
+    return _read_solution(tables, tables.budget)

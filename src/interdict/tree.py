@@ -106,13 +106,40 @@ class Solution:
 
     ``applied_weights`` maps every edge (child-keyed) to the length it takes
     once the set is applied: ``u`` if the edge's parent endpoint is upgraded,
-    ``w`` otherwise. ``value`` is the minimum root-leaf distance under those
-    lengths.
+    ``w`` otherwise. The solvers give an :class:`AppliedWeights` view, which
+    reads each length off the tree when asked. ``value`` is the minimum
+    root-leaf distance under those lengths.
     """
 
     value: int
     upgraded: frozenset[int]
-    applied_weights: dict[int, int]
+    applied_weights: Mapping[int, int]
+
+
+class AppliedWeights(Mapping[int, int]):
+    """Read-only edge -> length view of ``tree`` with ``upgraded`` applied.
+
+    Building it is O(1); each lookup is O(1). ``dict(view)`` equals
+    :func:`apply_upgrades` of the same arguments.
+    """
+
+    __slots__ = ("_tree", "_upgraded")
+
+    def __init__(self, tree: RootedTree, upgraded: frozenset[int]):
+        self._tree = tree
+        self._upgraded = upgraded
+
+    def __getitem__(self, edge: int) -> int:
+        tree = self._tree
+        if tree.parent[edge] in self._upgraded:
+            return tree.u[edge]
+        return tree.w[edge]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tree.parent)
+
+    def __len__(self) -> int:
+        return len(self._tree.parent)
 
 
 def build_tree(edge_records: Sequence[EdgeRecord], root: int) -> RootedTree:
@@ -157,9 +184,7 @@ def build_tree(edge_records: Sequence[EdgeRecord], root: int) -> RootedTree:
 
 def apply_upgrades(tree: RootedTree, upgraded: Iterable[int]) -> dict[int, int]:
     """Weight function after upgrading ``upgraded``: u on their child edges."""
-    s = set(upgraded)
-    return {c: (tree.u[c] if p in s else tree.w[c])
-            for c, p in tree.parent.items()}
+    return dict(AppliedWeights(tree, frozenset(upgraded)))
 
 
 def _leaf_distances(tree: RootedTree, upgraded: frozenset[int]) -> Iterator[int]:

@@ -6,7 +6,8 @@ Criteria:
   2. solver equals the brute-force oracle on a 500+ tree battery, all budgets
   3. minimum-budget search is minimal and matches the oracle on sampled targets
   4. budget monotonicity and the all-upgraded ceiling on mid-size trees
-  5. scaling-shape benchmark (timings only; absolute values are hardware-bound)
+  5. scaling-shape benchmark (timings hardware-bound) and one table pass per
+     minimum-budget query
   6. byte-identical structured CLI output for fixed seeds
 """
 
@@ -17,6 +18,8 @@ import time
 import numpy as np
 import pytest
 
+import interdict.budget
+import interdict.solver
 from interdict import (
     GeneratorConfig,
     TargetUnreachable,
@@ -179,14 +182,14 @@ def test_criterion_4_monotonicity_and_ceiling():
     _report(4, "50 trees, non-decreasing budgets, ceiling reached", elapsed)
 
 
-def test_criterion_5_scaling_shape():
+def test_criterion_5_scaling_shape(monkeypatch):
     start = time.perf_counter()
     sizes = [100, 500, 1000, 2000, 3000]
     rows = run_bench(sizes, trials=3, seed=20260810)
     for row in rows:
         assert row.budget == math.ceil(row.n / 10)
         assert row.t_max_max < 120.0
-        assert row.t_cost_avg > row.t_max_avg
+        assert _solve_cost_passes(monkeypatch, row.n) == (1, 0)
         print(f"  n={row.n:5d} budget={row.budget:4d} "
               f"t1_avg={row.t_max_avg:.4f}s t1_max={row.t_max_max:.4f}s "
               f"t1_min={row.t_max_min:.4f}s t2_avg={row.t_cost_avg:.4f}s "
@@ -194,8 +197,32 @@ def test_criterion_5_scaling_shape():
     averages = [row.t_max_avg for row in rows]
     assert averages == sorted(averages), "solve time must grow with n"
     elapsed = time.perf_counter() - start
-    _report(5, "5 sizes x 3 trials, bisection slower than single solve "
-               "at every size", elapsed)
+    _report(5, "5 sizes x 3 trials, solve time grows with n, solve-cost "
+               "is one table pass at every size", elapsed)
+
+
+def _solve_cost_passes(monkeypatch, n):
+    """(build_tables calls, solve_max calls) made by one solve_cost query
+    on a seeded tree of size ``n``; every route to the DP is counted."""
+    calls = {"build_tables": 0, "solve_max": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    count_tables = counting("build_tables", interdict.solver.build_tables)
+    count_max = counting("solve_max", interdict.solver.solve_max)
+    with monkeypatch.context() as m:
+        for module in (interdict.solver, interdict.budget):
+            m.setattr(module, "build_tables", count_tables, raising=False)
+            m.setattr(module, "solve_max", count_max, raising=False)
+        tree = random_tree(GeneratorConfig(n=n, seed=20260810 + n))
+        target = (evaluate_min_distance(tree, ())
+                  + all_upgraded_min_distance(tree)) // 2
+        solve_cost(tree, target)
+    return calls["build_tables"], calls["solve_max"]
 
 
 def test_criterion_6_determinism(tmp_path, capsys):

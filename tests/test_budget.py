@@ -1,11 +1,12 @@
-import math
 import random
 
 import pytest
 
+import interdict.budget
 from interdict import (
     TargetUnreachable,
     all_upgraded_min_distance,
+    build_tables,
     evaluate_min_distance,
     solve_cost,
     solve_max,
@@ -47,6 +48,33 @@ class TestGolden:
         with pytest.raises(ValueError):
             solve_cost(ex1, -3)
 
+    def test_witness_is_solve_max_set(self, ex1):
+        for target in range(0, 21):
+            result = solve_cost(ex1, target)
+            assert result.solution.upgraded == \
+                solve_max(ex1, result.kstar).upgraded, target
+
+
+class TestProfile:
+    def test_full_pass_profile_is_solve_max(self, battery):
+        rng = random.Random(9)
+        for tree in rng.sample(battery, 40):
+            cap = len(tree.non_leaves)
+            profile = build_tables(tree, cap).subtree_best[tree.root]
+            assert profile.tolist() == \
+                [solve_max(tree, k).value for k in range(cap + 1)]
+
+    def test_corrupted_profile_raises(self, ex1, monkeypatch):
+        def corrupted(tree, budget):
+            tables = build_tables(tree, budget)
+            best = tables.subtree_best[tree.root]
+            best[1], best[2] = best[2], best[1] - 1
+            return tables
+
+        monkeypatch.setattr(interdict.budget, "build_tables", corrupted)
+        with pytest.raises(RuntimeError, match="non-decreasing"):
+            solve_cost(ex1, 13)
+
 
 class TestMinimality:
     def test_bracket_invariant(self, battery):
@@ -63,6 +91,11 @@ class TestMinimality:
                 if result.kstar > 0:
                     assert solve_max(tree, result.kstar - 1).value < target
                 assert len(result.solution.upgraded) <= result.kstar
+                assert result.solution.upgraded == \
+                    solve_max(tree, result.kstar).upgraded
+                assert result.query.bounds == (
+                    (0, 0) if result.kstar == 0
+                    else (result.kstar - 1, result.kstar))
 
     def test_duality(self, battery):
         rng = random.Random(6)
@@ -78,7 +111,7 @@ class TestMinimality:
             cap = len(tree.non_leaves)
             ceiling = all_upgraded_min_distance(tree)
             result = solve_cost(tree, ceiling)
-            assert len(result.query.probes) <= math.ceil(math.log2(cap + 1)) + 2
+            assert result.query.probes == ((cap, ceiling),)
 
     def test_probes_monotone_consistent(self, battery):
         rng = random.Random(8)
@@ -88,3 +121,5 @@ class TestMinimality:
             by_budget = sorted(result.query.probes)
             for (k1, v1), (k2, v2) in zip(by_budget, by_budget[1:]):
                 assert k1 < k2 and v1 <= v2
+            for k, v in by_budget:
+                assert solve_max(tree, k).value == v

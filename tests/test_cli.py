@@ -81,6 +81,21 @@ class TestSolveCost:
         assert out == ""
         assert "unreachable: ceiling 20" in err
 
+    @pytest.mark.parametrize("target, kstar, value, upgraded", [
+        (7, 0, 7, []), (13, 1, 13, [1]), (14, 2, 14, [1, 7]),
+        (20, 4, 20, [1, 2, 5, 7])])
+    def test_json_schema(self, capsys, ex1_file, target, kstar, value,
+                         upgraded):
+        code, out, _ = run_cli(capsys, "solve-cost", ex1_file, "--target",
+                               str(target), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc) == {"command", "instance", "n", "leaves", "non_leaves",
+                            "target", "kstar", "value", "upgraded", "probes"}
+        assert doc["probes"] == 1
+        assert (doc["kstar"], doc["value"], doc["upgraded"]) == \
+            (kstar, value, upgraded)
+
 
 class TestGen:
     def test_writes_file_and_report(self, capsys, tmp_path):

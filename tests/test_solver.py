@@ -119,6 +119,8 @@ class TestSolve:
         for edge, parent in ex1.parent.items():
             expected = ex1.u[edge] if parent in sol.upgraded else ex1.w[edge]
             assert sol.applied_weights[edge] == expected
+        assert sorted(sol.applied_weights) == sorted(ex1.parent)
+        assert len(sol.applied_weights) == len(ex1.parent)
 
     def test_deterministic_sets(self, ex1):
         reference = solve_max(ex1, 2)
