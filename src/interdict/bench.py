@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .budget import solve_cost
@@ -48,8 +47,8 @@ def resolve_budget_rule(rule: str, n: int) -> int:
     return budget
 
 
-def _trial(args: tuple[int, int, str, str]) -> tuple[int, int, float, float]:
-    n, seed, shape, budget_rule = args
+def _trial(n: int, seed: int, shape: str,
+           budget_rule: str) -> tuple[int, int, float, float]:
     tree = random_tree(GeneratorConfig(n=n, seed=seed, shape=shape))
     budget = resolve_budget_rule(budget_rule, n)
 
@@ -67,20 +66,15 @@ def _trial(args: tuple[int, int, str, str]) -> tuple[int, int, float, float]:
 
 
 def run_bench(sizes: list[int], trials: int, seed: int,
-              shape: str = "uniform-attachment", budget_rule: str = "n/10",
-              jobs: int = 1) -> list[BenchRow]:
+              shape: str = "uniform-attachment",
+              budget_rule: str = "n/10") -> list[BenchRow]:
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    tasks = [(n, seed + 7919 * t + n, shape, budget_rule)
-             for n in sizes for t in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial, tasks))
-    else:
-        results = [_trial(t) for t in tasks]
+    results = [_trial(n, seed + 7919 * t + n, shape, budget_rule)
+               for n in sizes for t in range(trials)]
 
     rows = []
     for i, n in enumerate(sizes):

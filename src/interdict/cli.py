@@ -76,7 +76,11 @@ def _scaled_target(args) -> int:
             raise InstanceError(
                 f"target must be an integer (got {args.target!r}); "
                 "use --scale for decimals") from None
-    value = Fraction(args.target) * scale
+    try:
+        value = Fraction(args.target) * scale
+    except ZeroDivisionError:
+        raise InstanceError(
+            f"target {args.target!r} has a zero denominator") from None
     if value.denominator != 1:
         raise InstanceError(
             f"target {args.target!r} is not integral at scale {scale}")
@@ -179,8 +183,7 @@ def cmd_inspect(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = run_bench(sizes, trials=args.trials, seed=args.seed,
-                     shape=args.shape, budget_rule=args.budget_rule,
-                     jobs=args.jobs)
+                     shape=args.shape, budget_rule=args.budget_rule)
     report = {"command": "bench", "sizes": sizes, "trials": args.trials,
               "seed": args.seed, "shape": args.shape,
               "budget_rule": args.budget_rule,
@@ -278,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=SHAPES, default="uniform-attachment")
     p.add_argument("--budget-rule", default="n/10",
                    help="'n/10' (default) or a fixed integer")
-    p.add_argument("--jobs", type=_positive, default=1,
-                   help="run trials in parallel processes")
     _add_format(p)
     p.set_defaults(func=cmd_bench)
 

@@ -42,10 +42,6 @@ class Chain:
     tail_deltas: tuple[int, ...]
     tail_owners: tuple[int, ...]
 
-    def original_owner(self) -> dict[int, int]:
-        """Map tail position (2-based, as placed after sorting) -> owner node."""
-        return {pos: owner for pos, owner in enumerate(self.tail_owners, start=2)}
-
     def upgrade_set(self, eps: int, k: int) -> frozenset[int]:
         """Nodes upgraded for a feasible chain cell: top iff eps, then the
         owners of the k-eps largest tail gains."""

@@ -16,8 +16,10 @@ Two merge steps build the tables bottom-up:
   any branch may be the shortest), maximizing over ``k1 + k2 - eps = k``
   so the shared upgrade of ``v`` is paid for once.
 
-Both steps are (max,+) / (max,min) convolutions over dense budget arrays;
-all feasible cells are contiguous, so no sparsity handling is needed. Cell
+Both steps run one convolution routine over dense budget arrays, with
+``+`` as the inner operation for the serial (max,+) merge and ``min`` for
+the parallel (max,min) merge; all feasible cells are contiguous, so no
+sparsity handling is needed. Cell
 counts are clamped by the number of upgradable (non-leaf) nodes in each
 region and by the overall budget, which keeps the whole solve within
 O(n * K^2); with K unclamped (the minimum-budget search) the subtree caps
@@ -92,60 +94,27 @@ class DpTables:
     subtree_eps: dict[int, np.ndarray]
 
 
-def _maxplus(a: np.ndarray, b: np.ndarray, out_len: int):
-    """out[m] = max_{i+j=m} a[i]+b[j], arg = smallest maximizing i."""
+def _convolve(op, a: np.ndarray, b: np.ndarray, out_len: int):
+    """out[m] = max_{i+j=m} op(a[i], b[j]), arg = smallest maximizing i.
+
+    ``op`` is ``np.add`` for the serial (max,+) merge and ``np.minimum``
+    for the parallel (max,min) merge.
+    """
     out = np.full(out_len, _NEG, dtype=np.int64)
     arg = np.zeros(out_len, dtype=np.int64)
-    if out_len == 0:
-        return out, arg
-    if a.size <= b.size:
-        for i in range(min(a.size, out_len)):
-            m = min(b.size, out_len - i)
-            seg = a[i] + b[:m]
-            view = out[i:i + m]
-            mask = seg > view
-            view[mask] = seg[mask]
-            arg[i:i + m][mask] = i
-    else:
-        # Iterate the shorter right operand, highest j first, so strict
-        # improvement still leaves the smallest i on ties.
-        for j in range(min(b.size, out_len) - 1, -1, -1):
-            m = min(a.size, out_len - j)
-            seg = b[j] + a[:m]
-            view = out[j:j + m]
-            mask = seg > view
-            view[mask] = seg[mask]
-            idx = np.nonzero(mask)[0]
-            arg[j + idx] = idx
-    if out.min() <= _NEG:
-        raise RuntimeError("internal error: uncovered dp cell")
-    return out, arg
-
-
-def _maxmin(a: np.ndarray, b: np.ndarray, out_len: int):
-    """out[m] = max_{i+j=m} min(a[i], b[j]), arg = smallest maximizing i."""
-    out = np.full(out_len, _NEG, dtype=np.int64)
-    arg = np.zeros(out_len, dtype=np.int64)
-    if out_len == 0:
-        return out, arg
-    if a.size <= b.size:
-        for i in range(min(a.size, out_len)):
-            m = min(b.size, out_len - i)
-            seg = np.minimum(a[i], b[:m])
-            view = out[i:i + m]
-            mask = seg > view
-            view[mask] = seg[mask]
-            arg[i:i + m][mask] = i
-    else:
-        for j in range(min(b.size, out_len) - 1, -1, -1):
-            m = min(a.size, out_len - j)
-            seg = np.minimum(b[j], a[:m])
-            view = out[j:j + m]
-            mask = seg > view
-            view[mask] = seg[mask]
-            idx = np.nonzero(mask)[0]
-            arg[j + idx] = idx
-    if out.min() <= _NEG:
+    # Iterate the shorter operand. Over the right one, highest j first, so
+    # strict improvement still leaves the smallest i on ties.
+    a_short = a.size <= b.size
+    short, full = (a, b) if a_short else (b, a)
+    steps = range(min(short.size, out_len))
+    for s in steps if a_short else reversed(steps):
+        m = min(full.size, out_len - s)
+        seg = op(short[s], full[:m])
+        view = out[s:s + m]
+        mask = seg > view
+        view[mask] = seg[mask]
+        arg[s:s + m][mask] = s if a_short else np.flatnonzero(mask)
+    if out_len and out.min() <= _NEG:
         raise RuntimeError("internal error: uncovered dp cell")
     return out, arg
 
@@ -158,6 +127,23 @@ def _subtree_nonleaf_counts(tree: RootedTree) -> dict[int, int]:
     return counts
 
 
+def _merge(op, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
+           b1: np.ndarray, cap: int, budget: int) -> TableSlice:
+    """Convolve the eps=0 rows and the eps=1 rows of two operands.
+
+    ``cap`` is the upgradable count of the merged region; eps=0 cells run
+    up to ``cap - 1`` (the junction is not upgraded), eps=1 cells up to
+    ``cap``, both clamped by ``budget``.
+    """
+    f0, bp0 = _convolve(op, a0, b0, min(cap - 1, budget) + 1)
+    len1 = min(cap, budget)
+    if len1 > 0:
+        f1, bp1 = _convolve(op, a1, b1, len1)
+    else:
+        f1, bp1 = _EMPTY, _EMPTY
+    return TableSlice(f0, f1, bp0, bp1)
+
+
 def combine_serial(ct: ChainTable, below: np.ndarray | None,
                    cap: int, budget: int) -> TableSlice:
     """Merge a chain with the full-subtree table under its bottom node.
@@ -167,13 +153,7 @@ def combine_serial(ct: ChainTable, below: np.ndarray | None,
     on the chain). ``cap`` is the upgradable-node count of the whole branch.
     """
     b = below if below is not None else np.zeros(1, dtype=np.int64)
-    f0, bp0 = _maxplus(ct.g0, b, min(cap - 1, budget) + 1)
-    len1 = min(cap, budget)
-    if len1 > 0:
-        f1, bp1 = _maxplus(ct.g1, b, len1)
-    else:
-        f1, bp1 = _EMPTY, _EMPTY
-    return TableSlice(f0, f1, bp0, bp1)
+    return _merge(np.add, ct.g0, ct.g1, b, b, cap, budget)
 
 
 def combine_parallel(branch: TableSlice, prefix: TableSlice,
@@ -184,13 +164,8 @@ def combine_parallel(branch: TableSlice, prefix: TableSlice,
     upgrade is counted once (k = k1 + k2 - 1). ``cap`` is the upgradable
     count of the combined region.
     """
-    f0, bp0 = _maxmin(branch.f0, prefix.f0, min(cap - 1, budget) + 1)
-    len1 = min(cap, budget)
-    if len1 > 0 and branch.f1.size and prefix.f1.size:
-        f1, bp1 = _maxmin(branch.f1, prefix.f1, len1)
-    else:
-        f1, bp1 = _EMPTY, _EMPTY
-    return TableSlice(f0, f1, bp0, bp1)
+    return _merge(np.minimum, branch.f0, branch.f1, prefix.f0, prefix.f1,
+                  cap, budget)
 
 
 def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:

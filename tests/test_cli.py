@@ -238,3 +238,11 @@ def test_length_past_int64_is_input_error(tmp_path):
         proc = run_module(*argv)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve-cost", "verify"])
+def test_zero_denominator_target_is_input_error(capsys, ex1_file, command):
+    code, out, err = run_cli(capsys, command, ex1_file, "--target", "1/0",
+                             "--scale", "10")
+    assert code == 2 and out == ""
+    assert "error:" in err and "zero denominator" in err

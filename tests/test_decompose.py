@@ -79,7 +79,6 @@ class TestChains:
         assert c.head_delta == 1
         assert c.tail_deltas == (9, 5, 3)
         assert c.tail_owners == (3, 4, 2)
-        assert c.original_owner() == {2: 3, 3: 4, 4: 2}
         assert c.edges == (2, 4, 5, 3)
 
     def test_tail_tie_breaks_ascending_owner(self):

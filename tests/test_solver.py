@@ -1,18 +1,26 @@
+import operator
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdict import (
     InstanceError,
     all_upgraded_min_distance,
+    brute_force_cost,
     brute_force_max,
     build_tables,
     build_tree,
     evaluate_min_distance,
+    solve_cost,
     solve_max,
 )
-from interdict.solver import _maxmin, _maxplus
+from interdict.solver import _convolve
+
+INT64_MAX = 2**63 - 1
+EDGE_WEIGHTS = (0, 1, 3, 2**40, 2**61 - 1)
 
 
 def branch_index(tables, v, h):
@@ -153,15 +161,84 @@ class TestInt64Range:
 class TestInvariantsSurviveOptimize:
     """Uncovered cells raise RuntimeError, which ``python -O`` keeps."""
 
-    @pytest.mark.parametrize("merge", [_maxplus, _maxmin])
-    def test_uncovered_cell_raises(self, merge):
+    @pytest.mark.parametrize("op", [np.add, np.minimum],
+                             ids=["maxplus", "maxmin"])
+    def test_uncovered_cell_raises(self, op):
         a = np.array([1, 2], dtype=np.int64)
         b = np.array([3], dtype=np.int64)
         with pytest.raises(RuntimeError, match="uncovered dp cell"):
-            merge(a, b, a.size + b.size)
+            _convolve(op, a, b, a.size + b.size)
+
+
+def naive_convolve(op, a, b, out_len):
+    """out[m] = max over i + j = m of op(a[i], b[j]); arg = smallest such i."""
+    out, arg = [], []
+    for m in range(out_len):
+        best = None
+        for i in range(max(0, m - len(b) + 1), min(len(a), m + 1)):
+            value = op(a[i], b[m - i])
+            if best is None or value > best:
+                best, best_i = value, i
+        out.append(best)
+        arg.append(best_i)
+    return out, arg
+
+
+class TestConvolve:
+    """``_convolve`` against a plain double loop, ties included."""
+
+    @pytest.mark.parametrize("op, ref", [(np.add, operator.add),
+                                         (np.minimum, min)],
+                             ids=["maxplus", "maxmin"])
+    @given(a=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           b=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive(self, op, ref, a, b, data):
+        out_len = data.draw(st.integers(0, len(a) + len(b) - 1))
+        # Both operand orders, so each side is the shorter one in turn.
+        for x, y in ((a, b), (b, a)):
+            out, arg = _convolve(op, np.array(x, dtype=np.int64),
+                                 np.array(y, dtype=np.int64), out_len)
+            assert (out.tolist(), arg.tolist()) == \
+                naive_convolve(ref, x, y, out_len)
+
+
+@st.composite
+def edge_weight_trees(draw):
+    """Trees of 2..12 nodes whose weights mix zero, u == w and huge values;
+    also returns the longest all-upgraded root-leaf path."""
+    n = draw(st.integers(2, 12))
+    records, depth = [], {1: 0}
+    for child in range(2, n + 1):
+        parent = draw(st.integers(1, child - 1))
+        w = draw(st.sampled_from(EDGE_WEIGHTS))
+        u = draw(st.sampled_from([x for x in EDGE_WEIGHTS if x >= w]))
+        records.append((child, parent, w, u))
+        depth[child] = depth[parent] + u
+    return build_tree(records, root=1), max(depth.values())
 
 
 class TestAgainstOracle:
+    @given(case=edge_weight_trees(), data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_edge_case_weights(self, case, data):
+        tree, longest = case
+        k = data.draw(st.integers(0, len(tree.non_leaves)))
+        if longest > INT64_MAX:
+            with pytest.raises(InstanceError):
+                solve_max(tree, k)
+            return
+        value = solve_max(tree, k).value
+        assert value == brute_force_max(tree, k)[0]
+        ceiling = all_upgraded_min_distance(tree)
+        target = data.draw(st.sampled_from([value, min(value + 1, ceiling)])
+                           | st.integers(0, ceiling))
+        result = solve_cost(tree, target)
+        assert result.kstar == brute_force_cost(tree, target)
+        assert result.solution.upgraded == \
+            solve_max(tree, result.kstar).upgraded
+
     def test_small_battery(self, battery):
         rng = random.Random(3)
         for tree in rng.sample(battery, 60):
