@@ -9,9 +9,7 @@ oracles and a seeded instance generator support verification.
 
 from .budget import BudgetQuery, CostResult, solve_cost
 from .chains import ChainTable, chain_g_table
-from .decompose import (Chain, Decomposition, compute_layers,
-                        critical_structure, decompose, extract_chains,
-                        processing_order)
+from .decompose import Chain, Decomposition, decompose
 from .errors import (CycleDetected, DisconnectedInput, DuplicateChild,
                      InfeasibleIndex, InstanceError, InterdictError,
                      LeafInSet, NegativeWeight, ParseError, TargetUnreachable,
@@ -35,8 +33,7 @@ __all__ = [
     "TooLargeForOracle", "TrivialTree", "UpgradeBelowBase",
     "all_upgraded_min_distance", "apply_upgrades", "brute_force_cost",
     "brute_force_max", "build_tables", "build_tree", "chain_g_table",
-    "compute_layers", "critical_structure", "decompose", "evaluate_min_distance",
-    "extract_chains", "format_instance", "load_instance", "parse_instance",
-    "processing_order", "random_tree", "save_instance", "solve_cost",
+    "decompose", "evaluate_min_distance", "format_instance", "load_instance",
+    "parse_instance", "random_tree", "save_instance", "solve_cost",
     "solve_max",
 ]

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .bench import run_bench
 from .budget import solve_cost
@@ -24,7 +23,7 @@ from .decompose import decompose
 from .errors import InstanceError, InterdictError, TargetUnreachable
 from .generate import (DEFAULT_DELTA_MAX, DEFAULT_W_MAX, SHAPES,
                        GeneratorConfig, random_tree)
-from .instances import format_instance, load_instance
+from .instances import format_instance, load_instance, scaled_integer
 from .oracle import brute_force_cost, brute_force_max
 from .solver import solve_max
 from .tree import RootedTree
@@ -76,15 +75,7 @@ def _scaled_target(args) -> int:
             raise InstanceError(
                 f"target must be an integer (got {args.target!r}); "
                 "use --scale for decimals") from None
-    try:
-        value = Fraction(args.target) * scale
-    except ZeroDivisionError:
-        raise InstanceError(
-            f"target {args.target!r} has a zero denominator") from None
-    if value.denominator != 1:
-        raise InstanceError(
-            f"target {args.target!r} is not integral at scale {scale}")
-    return int(value)
+    return scaled_integer(args.target, scale, "target")
 
 
 def _time_note(ms: float) -> None:

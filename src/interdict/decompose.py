@@ -5,7 +5,12 @@ Walking up from a branching node or a leaf, the first junction reached is
 its *critical ancestor*; the path between them is a *chain* whose interior
 nodes all have degree 2. Chains partition the edge set, and the solver
 merges per-chain tables junction by junction, from the deepest junction
-layer up to the root.
+layer up to the root. A node's *layer* counts the junctions on its root
+path (the root is layer 1; only degree>2 nodes add one).
+
+:func:`decompose` derives all of this with one pass over the tree's BFS
+order (layers and chain bottoms) and one upward walk per chain, and checks
+that the chains cover every edge and every upgradable node exactly once.
 
 Within a chain, upgrades of interior (degree-2) nodes are exchangeable:
 an optimal solution may always spend its interior upgrades on the largest
@@ -59,59 +64,38 @@ class Decomposition:
     """All structural data the solver consumes, derived once per tree."""
 
     layer: dict[int, int]
-    edge_layer: dict[int, int]
     branching: frozenset[int]
     cd: dict[int, tuple[int, ...]]
-    ca: dict[int, int]
     chains: dict[int, Chain]
     order: tuple[int, ...]
 
 
-def compute_layers(tree: RootedTree) -> tuple[dict[int, int], dict[int, int]]:
-    """Label nodes breadth-first: the layer increments only at degree>2 nodes.
+def decompose(tree: RootedTree) -> Decomposition:
+    """Layers, junctions, chains and the junction processing order.
 
-    An edge inherits the layer of its upper endpoint, so all edges of one
-    chain share a layer number.
+    Critical descendants are listed in ascending id; junctions are ordered
+    deepest layer first (ties: descending id), so every junction below is
+    ready when its ancestor is processed. Raises ``RuntimeError`` if the
+    chains do not partition the edges and the upgradable nodes.
     """
     layer = {tree.root: 1}
-    edge_layer: dict[int, int] = {}
+    bottoms = []
     for c in tree.bfs_order[1:]:
-        lp = layer[tree.parent[c]]
-        layer[c] = lp + 1 if tree.degree(c) > 2 else lp
-        edge_layer[c] = lp
-    return layer, edge_layer
-
-
-def critical_structure(
-    tree: RootedTree, layer: dict[int, int]
-) -> tuple[frozenset[int], dict[int, tuple[int, ...]], dict[int, int]]:
-    """Branching set, critical descendants (ascending id) and ancestors."""
-    branching = frozenset(
-        v for v in tree.nodes if v != tree.root and tree.degree(v) > 2)
-    junctions = branching | {tree.root}
-    ca: dict[int, int] = {}
-    cd_lists: dict[int, list[int]] = {v: [] for v in junctions}
-    for bottom in branching | tree.leaves:
-        cur = tree.parent[bottom]
-        while cur not in junctions:
-            cur = tree.parent[cur]
-        ca[bottom] = cur
-        cd_lists[cur].append(bottom)
-    cd = {v: tuple(sorted(members)) for v, members in cd_lists.items()}
-    return branching, cd, ca
-
-
-def extract_chains(
-    tree: RootedTree, cd: dict[int, tuple[int, ...]], ca: dict[int, int]
-) -> dict[int, Chain]:
-    """One chain per critical descendant, keyed by its bottom node."""
+        degree = tree.degree(c)
+        layer[c] = layer[tree.parent[c]] + (degree > 2)
+        if degree != 2:
+            bottoms.append(c)
+    bottoms.sort()
+    branching = frozenset(v for v in bottoms if tree.degree(v) > 2)
+    cd_lists: dict[int, list[int]] = {v: [] for v in branching | {tree.root}}
     chains: dict[int, Chain] = {}
-    for bottom, top in ca.items():
+    for bottom in bottoms:
         path = [bottom]
         cur = tree.parent[bottom]
-        while cur != top:
+        while cur not in cd_lists:
             path.append(cur)
             cur = tree.parent[cur]
+        cd_lists[cur].append(bottom)
         path.reverse()  # child-keyed edges, top to bottom
         head = path[0]
         # Tail slots sort by gain descending, ties by ascending owner id; the
@@ -121,7 +105,7 @@ def extract_chains(
             key=lambda t: (-t[0], t[1]),
         )
         chains[bottom] = Chain(
-            top=top,
+            top=cur,
             bottom=bottom,
             edges=(head, *(e for _, _, e in tail)),
             beta=len(path),
@@ -130,28 +114,17 @@ def extract_chains(
             tail_deltas=tuple(d for d, _, _ in tail),
             tail_owners=tuple(o for _, o, _ in tail),
         )
-    return chains
+    cd = {v: tuple(members) for v, members in cd_lists.items()}
 
-
-def processing_order(
-    branching: frozenset[int], layer: dict[int, int], root: int
-) -> tuple[int, ...]:
-    """Junctions sorted deepest layer first (ties: descending id), so every
-    junction below has its tables ready when its ancestor is processed."""
-    return tuple(sorted(branching | {root}, key=lambda v: (-layer[v], -v)))
-
-
-def decompose(tree: RootedTree) -> Decomposition:
-    layer, edge_layer = compute_layers(tree)
-    branching, cd, ca = critical_structure(tree, layer)
-    chains = extract_chains(tree, cd, ca)
-    order = processing_order(branching, layer, tree.root)
-    return Decomposition(
-        layer=layer,
-        edge_layer=edge_layer,
-        branching=branching,
-        cd=cd,
-        ca=ca,
-        chains=chains,
-        order=order,
-    )
+    # Each chain owns its edges and its interior (upgradable) nodes; the
+    # junctions are the remaining upgradable nodes.
+    betas = [chains[h].beta for members in cd.values() for h in members]
+    edges, interiors = sum(betas), sum(betas) - len(betas)
+    if (edges != tree.node_count - 1
+            or len(cd) + interiors != len(tree.non_leaves)):
+        raise RuntimeError(
+            f"internal error: {len(betas)} chains of {edges} edges under "
+            f"{len(cd)} junctions do not partition the tree")
+    order = tuple(sorted(cd, key=lambda v: (-layer[v], -v)))
+    return Decomposition(layer=layer, branching=branching, cd=cd,
+                         chains=chains, order=order)

@@ -14,11 +14,15 @@ comments, edges sorted by child id, single spaces.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InstanceError, ParseError
 from .tree import RootedTree, build_tree
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -28,17 +32,42 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise ParseError(f"expected integer {what}, got {token!r}", line) from None
 
 
+def scaled_integer(token: str, scale: int, what: str) -> int:
+    """The integer ``token * scale`` for an integer, decimal or fraction token.
+
+    Raises :class:`InstanceError` naming ``what`` when the token is not a
+    number, has a zero denominator, is not integral at ``scale``, or has a
+    decimal exponent larger in magnitude than ``sys.get_int_max_str_digits()``.
+    The exponent is checked first: the exact value of ``1e999999999`` takes
+    minutes to build.
+    """
+    exponent = _EXPONENT.search(token)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        limit = (sys.get_int_max_str_digits()
+                 or sys.int_info.default_max_str_digits)
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise InstanceError(
+                f"{what} {token!r} has a decimal exponent beyond {limit}")
+    try:
+        value = Fraction(token) * scale
+    except ValueError:
+        raise InstanceError(f"expected number {what}, got {token!r}") from None
+    except ZeroDivisionError:
+        raise InstanceError(
+            f"{what} {token!r} has a zero denominator") from None
+    if value.denominator != 1:
+        raise InstanceError(f"{what} {token!r} is not integral at scale {scale}")
+    return int(value)
+
+
 def _parse_weight(token: str, what: str, line: int, scale: int | None) -> int:
     if scale is None:
         return _parse_int(token, what, line)
     try:
-        value = Fraction(token) * scale
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected number {what}, got {token!r}", line) from None
-    if value.denominator != 1:
-        raise ParseError(
-            f"{what} {token!r} is not integral at scale {scale}", line)
-    return int(value)
+        return scaled_integer(token, scale, what)
+    except InstanceError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def parse_instance(text: str, scale: int | None = None) -> RootedTree:

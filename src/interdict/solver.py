@@ -19,11 +19,13 @@ Two merge steps build the tables bottom-up:
 Both steps run one convolution routine over dense budget arrays, with
 ``+`` as the inner operation for the serial (max,+) merge and ``min`` for
 the parallel (max,min) merge; all feasible cells are contiguous, so no
-sparsity handling is needed. Cell
-counts are clamped by the number of upgradable (non-leaf) nodes in each
-region and by the overall budget, which keeps the whole solve within
-O(n * K^2); with K unclamped (the minimum-budget search) the subtree caps
-alone bound it by O(n^2), the tree-knapsack argument.
+sparsity handling is needed. Each table's
+length follows from its operands: a merge of rows with ``a`` and ``b``
+cells has ``min(a + b - 1, limit)`` cells, so a region's row ends at its
+upgradable (non-leaf) node count or at the overall budget, whichever is
+smaller. That keeps the whole solve within O(n * K^2); with K unclamped
+(the minimum-budget search) the region sizes alone bound it by O(n^2),
+the tree-knapsack argument.
 
 Ties in every argmax prefer eps=0, then the smallest branch-side budget,
 which makes reported upgrade sets deterministic.
@@ -43,7 +45,8 @@ from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
 
 _INT64_MAX = np.iinfo(np.int64).max
 _NEG = np.int64(np.iinfo(np.int64).min // 4)
-_EMPTY = np.empty(0, dtype=np.int64)
+_LEAF_ROW = np.zeros(1, dtype=np.int64)  # the empty subtree under a leaf
+_LEAF_ROW.setflags(write=False)
 
 
 @dataclass
@@ -94,12 +97,15 @@ class DpTables:
     subtree_eps: dict[int, np.ndarray]
 
 
-def _convolve(op, a: np.ndarray, b: np.ndarray, out_len: int):
+def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     """out[m] = max_{i+j=m} op(a[i], b[j]), arg = smallest maximizing i.
 
     ``op`` is ``np.add`` for the serial (max,+) merge and ``np.minimum``
-    for the parallel (max,min) merge.
+    for the parallel (max,min) merge. The result has
+    ``min(a.size + b.size - 1, limit)`` cells (none if an operand is
+    empty), each covered by at least one split.
     """
+    out_len = min(a.size + b.size - 1, limit) if a.size and b.size else 0
     out = np.full(out_len, _NEG, dtype=np.int64)
     arg = np.zeros(out_len, dtype=np.int64)
     # Iterate the shorter operand. Over the right one, highest j first, so
@@ -114,58 +120,41 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, out_len: int):
         mask = seg > view
         view[mask] = seg[mask]
         arg[s:s + m][mask] = s if a_short else np.flatnonzero(mask)
-    if out_len and out.min() <= _NEG:
-        raise RuntimeError("internal error: uncovered dp cell")
     return out, arg
 
 
-def _subtree_nonleaf_counts(tree: RootedTree) -> dict[int, int]:
-    """Upgradable-node count of every node's subtree (leaves count 0)."""
-    counts = {v: (0 if tree.is_leaf(v) else 1) for v in tree.nodes}
-    for v in reversed(tree.bfs_order[1:]):
-        counts[tree.parent[v]] += counts[v]
-    return counts
-
-
 def _merge(op, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
-           b1: np.ndarray, cap: int, budget: int) -> TableSlice:
+           b1: np.ndarray, budget: int) -> TableSlice:
     """Convolve the eps=0 rows and the eps=1 rows of two operands.
 
-    ``cap`` is the upgradable count of the merged region; eps=0 cells run
-    up to ``cap - 1`` (the junction is not upgraded), eps=1 cells up to
-    ``cap``, both clamped by ``budget``.
+    eps=0 cells run up to k = ``budget``, eps=1 cells (stored from k = 1)
+    likewise; within that, the operands' lengths set the region's size.
     """
-    f0, bp0 = _convolve(op, a0, b0, min(cap - 1, budget) + 1)
-    len1 = min(cap, budget)
-    if len1 > 0:
-        f1, bp1 = _convolve(op, a1, b1, len1)
-    else:
-        f1, bp1 = _EMPTY, _EMPTY
+    f0, bp0 = _convolve(op, a0, b0, budget + 1)
+    f1, bp1 = _convolve(op, a1, b1, budget)
     return TableSlice(f0, f1, bp0, bp1)
 
 
-def combine_serial(ct: ChainTable, below: np.ndarray | None,
-                   cap: int, budget: int) -> TableSlice:
+def combine_serial(ct: ChainTable, below: np.ndarray,
+                   budget: int) -> TableSlice:
     """Merge a chain with the full-subtree table under its bottom node.
 
     ``below`` is the collapsed best-by-budget array of the subtree under the
-    chain's bottom, or None when the bottom is a leaf (then all budget stays
-    on the chain). ``cap`` is the upgradable-node count of the whole branch.
+    chain's bottom; a leaf bottom passes the one-cell row ``[0]``, so all
+    budget stays on the chain.
     """
-    b = below if below is not None else np.zeros(1, dtype=np.int64)
-    return _merge(np.add, ct.g0, ct.g1, b, b, cap, budget)
+    return _merge(np.add, ct.g0, ct.g1, below, below, budget)
 
 
 def combine_parallel(branch: TableSlice, prefix: TableSlice,
-                     cap: int, budget: int) -> TableSlice:
+                     budget: int) -> TableSlice:
     """Min-combine a branch with the union of the branches before it.
 
     Matching eps on both sides is mandatory; with eps=1 the shared junction
-    upgrade is counted once (k = k1 + k2 - 1). ``cap`` is the upgradable
-    count of the combined region.
+    upgrade is counted once (k = k1 + k2 - 1).
     """
     return _merge(np.minimum, branch.f0, branch.f1, prefix.f0, prefix.f1,
-                  cap, budget)
+                  budget)
 
 
 def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +168,6 @@ def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
         mask = sl.f1 > view
         view[mask] = sl.f1[mask]
         eps[1: len(sl.f1) + 1][mask] = 1
-    if best.min() <= _NEG:
-        raise RuntimeError("internal error: uncovered dp cell")
     return best, eps
 
 
@@ -199,8 +186,7 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
             f"longest all-upgraded root-leaf path is {longest}, above the "
             f"int64 table limit {_INT64_MAX}")
     dec = decompose(tree)
-    counts = _subtree_nonleaf_counts(tree)
-    k_cap = min(budget, counts[tree.root])
+    k_cap = min(budget, len(tree.non_leaves))
 
     chain_tables = {bottom: chain_g_table(chain, k_cap)
                     for bottom, chain in dec.chains.items()}
@@ -210,25 +196,18 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     subtree_eps: dict[int, np.ndarray] = {}
 
     for v in dec.order:
-        prefix: TableSlice | None = None
-        prefix_cap = 0
         for q, h in enumerate(dec.cd[v], start=1):
-            ct = chain_tables[h]
-            below = None if tree.is_leaf(h) else subtree_best[h]
-            branch_cap = 1 + (ct.chain.beta - 1) + counts[h]
-            sl = combine_serial(ct, below, branch_cap, k_cap)
+            below = _LEAF_ROW if tree.is_leaf(h) else subtree_best[h]
+            sl = combine_serial(chain_tables[h], below, k_cap)
             serial[(v, q)] = sl
-            if q == 1:
-                prefix, prefix_cap = sl, branch_cap
-            else:
-                prefix_cap += branch_cap - 1
-                prefix = combine_parallel(sl, prefix, prefix_cap, k_cap)
+            prefix = sl if q == 1 else combine_parallel(sl, prefix, k_cap)
             parallel[(v, q)] = prefix
-        if prefix_cap != counts[v]:
-            raise RuntimeError(
-                f"internal error: junction {v} covers {prefix_cap} upgradable "
-                f"nodes, expected {counts[v]}")
         subtree_best[v], subtree_eps[v] = _collapse(prefix)
+    root_cells = len(subtree_best[tree.root])
+    if root_cells != k_cap + 1:
+        raise RuntimeError(
+            f"internal error: root row has {root_cells} cells, "
+            f"expected {k_cap + 1}")
 
     return DpTables(
         tree=tree,

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +153,25 @@ class TestVerify:
             assert code == 0 and "verdict=MATCH" in out
 
 
+def _chain(bottom, top, beta, w_sum, head_delta, tail=()):
+    return {"bottom": bottom, "top": top, "beta": beta, "w_sum": w_sum,
+            "head_delta": head_delta, "tail_deltas": [d for d, _ in tail],
+            "tail_owners": [o for _, o in tail]}
+
+
+# The whole ``inspect --format json`` document of the golden instance.
+EX1_INSPECT = {
+    "command": "inspect", "n": 10, "leaves": 5, "non_leaves": 5,
+    "branching": [2, 7], "order": [7, 2, 1],
+    "layers": {"1": 1, "2": 2, "3": 2, "4": 2, "5": 1, "6": 1, "7": 2,
+               "8": 2, "9": 2, "10": 2},
+    "chains": [_chain(2, 1, 1, 6, 4), _chain(3, 2, 1, 7, 3),
+               _chain(4, 2, 1, 4, 6), _chain(6, 1, 2, 9, 9, [(2, 5)]),
+               _chain(7, 1, 1, 4, 6), _chain(8, 7, 1, 3, 7),
+               _chain(10, 7, 2, 9, 6, [(5, 9)])],
+}
+
+
 class TestInspect:
     def test_text(self, capsys, ex1_file):
         code, out, _ = run_cli(capsys, "inspect", ex1_file)
@@ -161,9 +181,8 @@ class TestInspect:
 
     def test_json(self, capsys, ex1_file):
         code, out, _ = run_cli(capsys, "inspect", ex1_file, "--format", "json")
-        doc = json.loads(out)
-        assert doc["branching"] == [2, 7]
-        assert len(doc["chains"]) == 7
+        assert code == 0
+        assert json.loads(out) == {**EX1_INSPECT, "instance": ex1_file}
 
 
 class TestBench:
@@ -204,10 +223,10 @@ def test_console_entry_point(ex1_file):
     assert json.loads(proc.stdout)["value"] == 13
 
 
-def run_module(*argv, optimize=False):
+def run_module(*argv, optimize=False, timeout=None):
     flags = ["-O"] if optimize else []
     return subprocess.run([sys.executable, *flags, "-m", "interdict", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_optimized_interpreter_keeps_checks(ex1_file, tmp_path):
@@ -246,3 +265,28 @@ def test_zero_denominator_target_is_input_error(capsys, ex1_file, command):
                              "--scale", "10")
     assert code == 2 and out == ""
     assert "error:" in err and "zero denominator" in err
+
+
+@pytest.mark.parametrize("case", ["target", "negative_target", "weight"])
+def test_huge_decimal_exponent_is_input_error(ex1_file, tmp_path, case):
+    # The exact value of 1e999999999 would take minutes to build.
+    if case == "weight":
+        path = tmp_path / "huge.txt"
+        path.write_text("2 1\n2 1 1e999999999 1e999999999\n")
+        argv = ["solve-max", str(path), "--budget", "1"]
+    else:
+        target = "1e999999999" if case == "target" else "1e-999999999"
+        argv = ["solve-cost", ex1_file, "--target", target]
+    start = time.perf_counter()
+    proc = run_module(*argv, "--scale", "10", timeout=60)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "exponent" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_large_exponent_within_limit_is_unreachable(capsys, ex1_file):
+    code, out, err = run_cli(capsys, "solve-cost", ex1_file,
+                             "--target", "1e30", "--scale", "10")
+    assert code == 3 and out == ""
+    assert "unreachable: ceiling 200" in err

@@ -3,8 +3,6 @@ import random
 from interdict import (
     GeneratorConfig,
     build_tree,
-    compute_layers,
-    critical_structure,
     decompose,
     random_tree,
 )
@@ -13,40 +11,43 @@ from conftest import make_path, make_star, small_battery
 
 class TestLayers:
     def test_ex1_layers(self, ex1):
-        layer, _ = compute_layers(ex1)
+        layer = decompose(ex1).layer
         assert layer[1] == 1 and layer[5] == 1
         assert layer[2] == 2 and layer[7] == 2
         assert layer[3] == 2 and layer[9] == 2 and layer[10] == 2
         assert layer[6] == 1
 
     def test_ex1_edge_layer(self, ex1):
-        _, edge_layer = compute_layers(ex1)
-        assert edge_layer[2] == 1  # edge (v1, v2)
-        assert edge_layer[3] == 2  # edge (v2, v3)
-        assert edge_layer[6] == 1
+        # An edge sits in its upper endpoint's layer; a chain's edges share
+        # the layer of the chain's top.
+        dec = decompose(ex1)
+        assert dec.layer[ex1.parent[2]] == 1  # edge (v1, v2)
+        assert dec.layer[ex1.parent[3]] == 2  # edge (v2, v3)
+        assert dec.layer[ex1.parent[6]] == 1
+        for c in dec.chains.values():
+            assert {dec.layer[ex1.parent[e]] for e in c.edges} == \
+                {dec.layer[c.top]}
 
     def test_path_all_layer_one(self):
         tree = make_path(9, seed=1)
-        layer, edge_layer = compute_layers(tree)
-        assert set(layer.values()) == {1}
-        assert set(edge_layer.values()) == {1}
+        assert set(decompose(tree).layer.values()) == {1}
 
     def test_monotone_along_paths(self):
         for tree in (random_tree(GeneratorConfig(n=30, seed=s)) for s in range(5)):
-            layer, _ = compute_layers(tree)
+            layer = decompose(tree).layer
             for v, p in tree.parent.items():
                 assert layer[p] <= layer[v] <= layer[p] + 1
 
 
 class TestCriticalStructure:
     def test_ex1_cd_ca(self, ex1):
-        layer, _ = compute_layers(ex1)
-        branching, cd, ca = critical_structure(ex1, layer)
-        assert branching == {2, 7}
-        assert cd[1] == (2, 6, 7)
-        assert cd[2] == (3, 4)
-        assert cd[7] == (8, 10)
-        assert ca[2] == 1 and ca[6] == 1 and ca[10] == 7
+        dec = decompose(ex1)
+        assert dec.branching == {2, 7}
+        assert dec.cd[1] == (2, 6, 7)
+        assert dec.cd[2] == (3, 4)
+        assert dec.cd[7] == (8, 10)
+        assert dec.chains[2].top == 1 and dec.chains[6].top == 1
+        assert dec.chains[10].top == 7
 
     def test_cd_size_matches_degree(self, battery):
         for tree in battery[:150]:
@@ -54,6 +55,7 @@ class TestCriticalStructure:
             for v in dec.branching | {tree.root}:
                 expected = tree.degree(v) if v == tree.root else tree.degree(v) - 1
                 assert len(dec.cd[v]) == expected
+                assert all(dec.chains[h].top == v for h in dec.cd[v])
 
 
 class TestChains:

@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import random
 
@@ -13,10 +14,12 @@ from interdict import (
     brute_force_max,
     build_tables,
     build_tree,
+    decompose,
     evaluate_min_distance,
     solve_cost,
     solve_max,
 )
+from interdict import solver
 from interdict.solver import _convolve
 
 INT64_MAX = 2**63 - 1
@@ -159,15 +162,25 @@ class TestInt64Range:
 
 
 class TestInvariantsSurviveOptimize:
-    """Uncovered cells raise RuntimeError, which ``python -O`` keeps."""
+    """Structural faults raise RuntimeError, which ``python -O`` keeps."""
 
-    @pytest.mark.parametrize("op", [np.add, np.minimum],
-                             ids=["maxplus", "maxmin"])
-    def test_uncovered_cell_raises(self, op):
-        a = np.array([1, 2], dtype=np.int64)
-        b = np.array([3], dtype=np.int64)
-        with pytest.raises(RuntimeError, match="uncovered dp cell"):
-            _convolve(op, a, b, a.size + b.size)
+    @pytest.mark.parametrize("fault", ["lost_chain", "bottom_twice_in_cd"])
+    def test_broken_partition_raises(self, ex1, monkeypatch, fault):
+        # Leaf 8 is the bottom of a one-edge chain under junction 7.
+        order = tuple(v for v in ex1.bfs_order if v != 8)
+        if fault == "bottom_twice_in_cd":
+            order = ex1.bfs_order + (8,)
+        monkeypatch.setattr(ex1, "bfs_order", order)
+        with pytest.raises(RuntimeError, match="do not partition"):
+            decompose(ex1)
+
+    def test_short_root_row_raises(self, ex1, monkeypatch):
+        # Junction 1 loses its branch to v6, and with it upgradable node 5.
+        dec = decompose(ex1)
+        lossy = dataclasses.replace(dec, cd={**dec.cd, 1: (2, 7)})
+        monkeypatch.setattr(solver, "decompose", lambda tree: lossy)
+        with pytest.raises(RuntimeError, match="root row"):
+            build_tables(ex1, len(ex1.non_leaves))
 
 
 def naive_convolve(op, a, b, out_len):
@@ -179,6 +192,7 @@ def naive_convolve(op, a, b, out_len):
             value = op(a[i], b[m - i])
             if best is None or value > best:
                 best, best_i = value, i
+        assert best is not None, f"cell {m} has no split"
         out.append(best)
         arg.append(best_i)
     return out, arg
@@ -190,16 +204,18 @@ class TestConvolve:
     @pytest.mark.parametrize("op, ref", [(np.add, operator.add),
                                          (np.minimum, min)],
                              ids=["maxplus", "maxmin"])
-    @given(a=st.lists(st.integers(0, 3), min_size=1, max_size=7),
-           b=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+    @given(a=st.lists(st.integers(0, 3), max_size=7),
+           b=st.lists(st.integers(0, 3), max_size=7),
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_naive(self, op, ref, a, b, data):
-        out_len = data.draw(st.integers(0, len(a) + len(b) - 1))
+        limit = data.draw(st.integers(0, len(a) + len(b) + 2))
+        # The result stops at the last cell with a split, or at the limit.
+        out_len = min(limit, len(a) + len(b) - 1) if a and b else 0
         # Both operand orders, so each side is the shorter one in turn.
         for x, y in ((a, b), (b, a)):
             out, arg = _convolve(op, np.array(x, dtype=np.int64),
-                                 np.array(y, dtype=np.int64), out_len)
+                                 np.array(y, dtype=np.int64), limit)
             assert (out.tolist(), arg.tolist()) == \
                 naive_convolve(ref, x, y, out_len)
 
