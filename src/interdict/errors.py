@@ -53,10 +53,27 @@ class TooLargeForOracle(InterdictError):
     """The instance exceeds the brute-force enumeration guard."""
 
 
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or its digit count where Python's int-to-str limit
+    (``sys.get_int_max_str_digits``) refuses the conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        # bit_length * log10(2) gives the digit count or one above it; the
+        # two checks also absorb float rounding.
+        digits = int(abs(n).bit_length() * 0.30102999566398120) + 1
+        if 10 ** (digits - 1) > abs(n):
+            digits -= 1
+        elif 10 ** digits <= abs(n):
+            digits += 1
+        return f"of {digits} digits"
+
+
 class TargetUnreachable(InterdictError):
     """The requested distance exceeds the all-upgraded ceiling."""
 
     def __init__(self, target: int, ceiling: int):
-        super().__init__(f"target {target} unreachable: ceiling {ceiling}")
+        super().__init__(f"target {_decimal(target)} unreachable: "
+                         f"ceiling {_decimal(ceiling)}")
         self.target = target
         self.ceiling = ceiling

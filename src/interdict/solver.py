@@ -27,6 +27,18 @@ smaller. That keeps the whole solve within O(n * K^2); with K unclamped
 (the minimum-budget search) the region sizes alone bound it by O(n^2),
 the tree-knapsack argument.
 
+Where a merge has only one split, none runs and no backpointer is kept:
+
+* a chain ending in a leaf has nothing below it, so its branch row is its
+  g-rows and the reconstruction gives the chain the whole branch budget;
+* a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
+  ``[u]`` and takes ``k1 = eps``: as the first branch these rows are the
+  prefix, and after it the parallel merge reduces to capping the prefix,
+  ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. The caps are applied in
+  critical-descendant order, so every later merge sees the rows and ties it
+  would see had the merge run, and no chain table is built for the edge;
+* a convolution with a one-cell operand is a single vectorised operation.
+
 Ties in every argmax prefer eps=0, then the smallest branch-side budget,
 which makes reported upgrade sets deterministic.
 """
@@ -39,14 +51,12 @@ import numpy as np
 
 from .chains import ChainTable, chain_g_table
 from .decompose import Decomposition, decompose
-from .errors import InstanceError
+from .errors import InstanceError, _decimal
 from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
                    evaluate_min_distance)
 
 _INT64_MAX = np.iinfo(np.int64).max
 _NEG = np.int64(np.iinfo(np.int64).min // 4)
-_LEAF_ROW = np.zeros(1, dtype=np.int64)  # the empty subtree under a leaf
-_LEAF_ROW.setflags(write=False)
 
 
 @dataclass
@@ -55,13 +65,14 @@ class TableSlice:
 
     ``bp0``/``bp1`` record, per cell, the left-operand index of the maximizing
     split (chain budget for serial slices, q-th-branch budget for parallel
-    slices); the left operand shares the cell's eps offset.
+    slices); the left operand shares the cell's eps offset. They are None
+    where no merge ran, because the split is forced.
     """
 
     f0: np.ndarray
     f1: np.ndarray
-    bp0: np.ndarray
-    bp1: np.ndarray
+    bp0: np.ndarray | None = None
+    bp1: np.ndarray | None = None
 
     def get(self, eps: int, k: int) -> int | None:
         """Cell value, or None where the cell is infeasible."""
@@ -82,9 +93,14 @@ class DpTables:
     """All tables of one solve, kept for reconstruction and inspection.
 
     ``serial[(v, q)]`` covers the q-th branch at junction ``v``;
-    ``parallel[(v, q)]`` covers the union of branches ``1..q``. For the last
-    q these describe the full subtree hanging at ``v``; ``subtree_best[v]``
+    ``parallel[(v, q)]`` covers the union of branches ``1..q``. Both exist
+    for every q except a leaf edge after the first branch, whose merge is a
+    cap; a leaf chain's serial slice is its g-rows, without backpointers.
+    ``parallel[(v, p)]`` at the last branch p exists at every junction and
+    describes the full subtree hanging at ``v``; ``subtree_best[v]``
     collapses that over eps (``subtree_eps`` records the argmax).
+    ``chain_tables`` is keyed by chain bottom and has no entry for a leaf
+    edge.
     """
 
     tree: RootedTree
@@ -106,6 +122,11 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     empty), each covered by at least one split.
     """
     out_len = min(a.size + b.size - 1, limit) if a.size and b.size else 0
+    # A one-cell operand leaves one split per cell: no loop, no ties.
+    if a.size == 1:
+        return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int64)
+    if b.size == 1:
+        return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int64)
     out = np.full(out_len, _NEG, dtype=np.int64)
     arg = np.zeros(out_len, dtype=np.int64)
     # Iterate the shorter operand. Over the right one, highest j first, so
@@ -137,11 +158,11 @@ def _merge(op, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
 
 def combine_serial(ct: ChainTable, below: np.ndarray,
                    budget: int) -> TableSlice:
-    """Merge a chain with the full-subtree table under its bottom node.
+    """Merge a chain with the full-subtree table under its bottom junction.
 
     ``below`` is the collapsed best-by-budget array of the subtree under the
-    chain's bottom; a leaf bottom passes the one-cell row ``[0]``, so all
-    budget stays on the chain.
+    chain's bottom. A chain ending in a leaf runs no merge: its g-rows are
+    the branch row.
     """
     return _merge(np.add, ct.g0, ct.g1, below, below, budget)
 
@@ -183,25 +204,41 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     longest = max(_leaf_distances(tree, tree.non_leaves))
     if longest > _INT64_MAX:
         raise InstanceError(
-            f"longest all-upgraded root-leaf path is {longest}, above the "
-            f"int64 table limit {_INT64_MAX}")
+            f"longest all-upgraded root-leaf path is {_decimal(longest)}, "
+            f"above the int64 table limit {_INT64_MAX}")
     dec = decompose(tree)
     k_cap = min(budget, len(tree.non_leaves))
 
-    chain_tables = {bottom: chain_g_table(chain, k_cap)
-                    for bottom, chain in dec.chains.items()}
+    chain_tables = {bottom: chain_g_table(chain, k_cap)  # leaf edges: none
+                    for bottom, chain in dec.chains.items()
+                    if chain.beta > 1 or not tree.is_leaf(bottom)}
     serial: dict[tuple[int, int], TableSlice] = {}
     parallel: dict[tuple[int, int], TableSlice] = {}
     subtree_best: dict[int, np.ndarray] = {}
     subtree_eps: dict[int, np.ndarray] = {}
 
     for v in dec.order:
-        for q, h in enumerate(dec.cd[v], start=1):
-            below = _LEAF_ROW if tree.is_leaf(h) else subtree_best[h]
-            sl = combine_serial(chain_tables[h], below, k_cap)
+        cd = dec.cd[v]
+        for q, h in enumerate(cd, start=1):
+            ct = chain_tables.get(h)
+            if ct is None:
+                # A leaf edge: its row is [w], and [u] when the budget
+                # allows. Its only split is k1 = eps, so after the first
+                # branch the parallel merge just caps the prefix.
+                if q > 1:
+                    prefix = TableSlice(np.minimum(prefix.f0, tree.w[h]),
+                                        np.minimum(prefix.f1, tree.u[h]))
+                    continue
+                sl = TableSlice(np.array([tree.w[h]], dtype=np.int64),
+                                np.array([tree.u[h]], dtype=np.int64)[:k_cap])
+            elif tree.is_leaf(h):
+                sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on the chain
+            else:
+                sl = combine_serial(ct, subtree_best[h], k_cap)
             serial[(v, q)] = sl
             prefix = sl if q == 1 else combine_parallel(sl, prefix, k_cap)
             parallel[(v, q)] = prefix
+        parallel[(v, len(cd))] = prefix
         subtree_best[v], subtree_eps[v] = _collapse(prefix)
     root_cells = len(subtree_best[tree.root])
     if root_cells != k_cap + 1:
@@ -230,18 +267,25 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
     stack = [(tree.root, int(tables.subtree_eps[tree.root][k_root]), k_root)]
     while stack:
         v, eps, k = stack.pop()
+        if eps:
+            upgraded.add(v)
         cd = dec.cd[v]
         for q in range(len(cd), 0, -1):
+            h = cd[q - 1]
+            ct = tables.chain_tables.get(h)
+            if ct is None:
+                continue  # a leaf edge takes k1 = eps: v alone, if anything
             if q > 1:
                 k1 = tables.parallel[(v, q)].split(eps, k)
                 k = k - k1 + eps  # remainder flows to branches 1..q-1
             else:
                 k1 = k
-            sl = tables.serial[(v, q)]
-            k_chain = sl.split(eps, k1)
+            if tree.is_leaf(h):
+                k_chain = k1
+            else:
+                k_chain = tables.serial[(v, q)].split(eps, k1)
+            upgraded |= ct.upgraded_nodes(eps, k_chain)
             k_below = k1 - k_chain
-            h = cd[q - 1]
-            upgraded |= tables.chain_tables[h].upgraded_nodes(eps, k_chain)
             if k_below > 0:
                 stack.append(
                     (h, int(tables.subtree_eps[h][k_below]), k_below))

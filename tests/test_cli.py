@@ -290,3 +290,13 @@ def test_large_exponent_within_limit_is_unreachable(capsys, ex1_file):
                              "--target", "1e30", "--scale", "10")
     assert code == 3 and out == ""
     assert "unreachable: ceiling 200" in err
+
+
+@pytest.mark.parametrize("target", ["1e4299", "1e4300"])
+def test_target_past_str_digit_limit_is_unreachable(ex1_file, target):
+    # Scaled, the target has more digits than Python will print.
+    proc = run_module("solve-cost", ex1_file, "--target", target,
+                      "--scale", "10")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "digits unreachable: ceiling 200" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import operator
 import random
 
@@ -154,6 +155,13 @@ class TestInt64Range:
         with pytest.raises(InstanceError):
             build_tables(tree, 0)
 
+    def test_path_past_str_digit_limit_rejected(self):
+        # The length has more digits than Python will print.
+        tree = build_tree([(2, 1, 10**4300, 10**4300)], 1)
+        with pytest.raises(InstanceError,
+                           match="is of 4301 digits, above the int64"):
+            build_tables(tree, 1)
+
     def test_largest_int64_path_solved_exactly(self):
         top = 2**62
         tree = build_tree([(2, 1, 0, top), (3, 2, 0, top - 1)], 1)
@@ -273,3 +281,103 @@ class TestAgainstOracle:
             assert all(a <= b for a, b in zip(values, values[1:]))
             assert values[-1] == all_upgraded_min_distance(tree)
             assert values[0] == evaluate_min_distance(tree, ())
+
+
+@st.composite
+def shaped_trees(draw):
+    """Stars, brooms and deep paths of 2..12 nodes with tiny weights and
+    u == w often. A star folds every branch; a broom folds under a chain."""
+    n = draw(st.integers(2, 12))
+    shape = draw(st.sampled_from(["star", "broom", "path"]))
+    if shape == "star":
+        parents = {c: 1 for c in range(2, n + 1)}
+    elif shape == "path":
+        parents = {c: c - 1 for c in range(2, n + 1)}
+    else:
+        handle = draw(st.integers(1, n - 1))
+        parents = {c: min(c - 1, handle + 1) for c in range(2, n + 1)}
+    records = []
+    for child, parent in parents.items():
+        w = draw(st.integers(0, 3))
+        delta = draw(st.just(0) | st.integers(0, 3))
+        records.append((child, parent, w, w + delta))
+    return build_tree(records, root=1)
+
+
+class TestShapesAgainstOracle:
+    @given(tree=shaped_trees(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_star_broom_path(self, tree, data):
+        for k in range(len(tree.non_leaves) + 1):
+            assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
+        target = data.draw(st.integers(0, all_upgraded_min_distance(tree)))
+        result = solve_cost(tree, target)
+        assert result.kstar == brute_force_cost(tree, target)
+        assert result.solution.upgraded == \
+            solve_max(tree, result.kstar).upgraded
+
+
+def tie_heavy_trees(count=300, n_max=30, seed=2026):
+    """Seeded trees with w and delta in {0, 1, 2}; every other tree is
+    path-like (each node hangs off the previous one four times in five)."""
+    rng = random.Random(seed)
+    trees = []
+    for index in range(count):
+        n = rng.randint(2, n_max)
+        records = []
+        for child in range(2, n + 1):
+            if index % 2 and rng.random() < 0.8:
+                parent = child - 1
+            else:
+                parent = rng.randint(1, child - 1)
+            w = rng.randint(0, 2)
+            records.append((child, parent, w, w + rng.randint(0, 2)))
+        trees.append(build_tree(records, root=1))
+    return trees
+
+
+class TestTieBreaking:
+    # Digest of every (value, sorted set) on the battery as computed by the
+    # DP that runs every merge, forced splits included; any reordered tie
+    # changes it.
+    DIGEST = "508c4d19cc2333d84e9edb65f3ad78e29b4fa7284a25a55ccef6659eaec3fef8"
+
+    def test_upgrade_sets_pinned(self):
+        digest = hashlib.sha256()
+        for tree in tie_heavy_trees():
+            for k in range(len(tree.non_leaves) + 1):
+                sol = solve_max(tree, k)
+                digest.update(repr((sol.value, sorted(sol.upgraded))).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestForcedSplits:
+    """Branches whose split is forced run no merge and build no chain table."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(
+            ("chain_g_table", "combine_serial", "combine_parallel"), 0)
+        for name in counts:
+            def wrapper(*args, _name=name, _real=getattr(solver, name)):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(solver, name, wrapper)
+        return counts
+
+    def test_star_runs_no_merge(self, calls):
+        tree = build_tree([(c, 1, c % 3, c % 3 + c % 2) for c in range(2, 52)],
+                          root=1)
+        assert solve_max(tree, 1).value == brute_force_max(tree, 1)[0]
+        assert calls == {"chain_g_table": 0, "combine_serial": 0,
+                         "combine_parallel": 0}
+
+    def test_broom_runs_one_serial_merge(self, calls):
+        # A five-edge handle from the root into a fan of 20 leaves.
+        records = [(c, c - 1, 2, 4) for c in range(2, 7)]
+        records += [(c, 6, c % 3, c % 3 + 1) for c in range(7, 27)]
+        tree = build_tree(records, root=1)
+        k = len(tree.non_leaves)
+        assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
+        assert calls == {"chain_g_table": 1, "combine_serial": 1,
+                         "combine_parallel": 0}
