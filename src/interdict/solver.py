@@ -122,7 +122,10 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     empty), each covered by at least one split.
     """
     out_len = min(a.size + b.size - 1, limit) if a.size and b.size else 0
-    # A one-cell operand leaves one split per cell: no loop, no ties.
+    # A one-cell operand leaves one split per cell: no loop, no ties. After
+    # the leaf folding in build_tables most remaining calls have one: the
+    # g-rows of a one-edge chain into a junction (left) and the prefix
+    # after a first-branch leaf edge (right).
     if a.size == 1:
         return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int64)
     if b.size == 1:
