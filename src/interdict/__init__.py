@@ -11,9 +11,9 @@ from .budget import BudgetQuery, CostResult, solve_cost
 from .chains import ChainTable, chain_g_table
 from .decompose import Chain, Decomposition, decompose
 from .errors import (CycleDetected, DisconnectedInput, DuplicateChild,
-                     InfeasibleIndex, InstanceError, InterdictError,
-                     LeafInSet, NegativeWeight, ParseError, TargetUnreachable,
-                     TooLargeForOracle, TrivialTree, UpgradeBelowBase)
+                     InstanceError, InterdictError, LeafInSet, NegativeWeight,
+                     ParseError, TargetUnreachable, TooLargeForOracle,
+                     TrivialTree, UpgradeBelowBase)
 from .generate import SHAPES, GeneratorConfig, random_tree
 from .instances import (format_instance, load_instance, parse_instance,
                         save_instance)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetQuery", "Chain", "ChainTable", "CostResult", "CycleDetected",
     "Decomposition", "DisconnectedInput", "DpTables", "DuplicateChild",
-    "GeneratorConfig", "InfeasibleIndex", "InstanceError", "InterdictError",
+    "GeneratorConfig", "InstanceError", "InterdictError",
     "LeafInSet", "NegativeWeight", "ORACLE_LIMIT", "ParseError", "RootedTree",
     "SHAPES", "Solution", "TableSlice", "TargetUnreachable",
     "TooLargeForOracle", "TrivialTree", "UpgradeBelowBase",

@@ -1,8 +1,8 @@
 """Minimum-budget search: fewest upgrades to reach a target distance.
 
 One table pass at the full budget (the upgradable count) holds the
-budgeted optimum for every budget at once: ``subtree_best[root][k]`` is the
-best value with ``k`` upgrades. That profile is non-decreasing, so the
+budgeted optimum for every budget at once: ``root_best[k]`` is the best
+value with ``k`` upgrades. That profile is non-decreasing, so the
 smallest sufficient budget k* is its first index reaching the target, and
 the witness is the backpointer walk started at k*. Cells at ``k <= k*``
 read only lower indices and break ties towards the smallest index, so they
@@ -59,7 +59,7 @@ def solve_cost(tree: RootedTree, target: int) -> CostResult:
         raise TargetUnreachable(target, ceiling)
 
     tables = build_tables(tree, len(tree.non_leaves))
-    profile = tables.subtree_best[tree.root]
+    profile = tables.root_best
     if (profile[1:] < profile[:-1]).any() or profile[-1] != ceiling:
         raise RuntimeError(
             "internal error: budget profile is not non-decreasing up to the "

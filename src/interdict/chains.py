@@ -21,42 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import Chain
-from .errors import InfeasibleIndex
 
 
 @dataclass(frozen=True)
 class ChainTable:
-    """Dense g-values for one chain under a budget.
+    """Dense g-values for one chain under a budget: ``g0[k]`` holds
+    g(0, k); ``g1[i]`` holds g(1, i+1). The upgrade set of a cell is
+    :meth:`Chain.upgrade_set`."""
 
-    ``g0[k]`` holds g(0, k); ``g1[i]`` holds g(1, i+1). Upgrade sets are
-    stored implicitly as prefix counts and materialized on demand via
-    :meth:`upgraded_nodes`.
-    """
-
-    chain: Chain
-    budget: int
     g0: np.ndarray
     g1: np.ndarray
-
-    def feasible(self, eps: int, k: int) -> bool:
-        if eps == 0:
-            return 0 <= k < len(self.g0)
-        if eps == 1:
-            return 1 <= k <= len(self.g1)
-        return False
-
-    def g(self, eps: int, k: int) -> int:
-        if not self.feasible(eps, k):
-            raise InfeasibleIndex(
-                f"chain to {self.chain.bottom}: no cell eps={eps}, k={k} "
-                f"(beta={self.chain.beta}, budget={self.budget})")
-        return int(self.g0[k] if eps == 0 else self.g1[k - 1])
-
-    def upgraded_nodes(self, eps: int, k: int) -> frozenset[int]:
-        if not self.feasible(eps, k):
-            raise InfeasibleIndex(
-                f"chain to {self.chain.bottom}: no cell eps={eps}, k={k}")
-        return self.chain.upgrade_set(eps, k)
 
 
 def chain_g_table(chain: Chain, budget: int) -> ChainTable:
@@ -67,5 +41,4 @@ def chain_g_table(chain: Chain, budget: int) -> ChainTable:
         ([0], np.cumsum(np.asarray(chain.tail_deltas, dtype=np.int64))))
     g0 = chain.w_sum + tail_prefix[: min(chain.beta - 1, budget) + 1]
     g1 = chain.w_sum + chain.head_delta + tail_prefix[: min(chain.beta, budget)]
-    return ChainTable(chain=chain, budget=budget,
-                      g0=g0.astype(np.int64), g1=g1.astype(np.int64))
+    return ChainTable(g0=g0.astype(np.int64), g1=g1.astype(np.int64))

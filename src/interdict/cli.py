@@ -19,8 +19,9 @@ import time
 
 from .bench import run_bench
 from .budget import solve_cost
-from .decompose import decompose
-from .errors import InstanceError, InterdictError, TargetUnreachable
+from .decompose import Chain, decompose
+from .errors import (InstanceError, InterdictError, TargetUnreachable,
+                     _decimal)
 from .generate import (DEFAULT_DELTA_MAX, DEFAULT_W_MAX, SHAPES,
                        GeneratorConfig, random_tree)
 from .instances import format_instance, load_instance, scaled_integer
@@ -147,14 +148,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _chain_report(c: Chain) -> dict:
+    """One chain's inspect fields; a length with more digits than Python
+    prints is an :class:`InstanceError`."""
+    longest = max(c.w_sum, c.head_delta, *c.tail_deltas)
+    try:
+        str(longest)
+    except ValueError:
+        raise InstanceError(f"chain to {c.bottom}: length {_decimal(longest)} "
+                            "is too long to print") from None
+    return {"bottom": c.bottom, "top": c.top, "beta": c.beta,
+            "w_sum": c.w_sum, "head_delta": c.head_delta,
+            "tail_deltas": list(c.tail_deltas),
+            "tail_owners": list(c.tail_owners)}
+
+
 def cmd_inspect(args) -> int:
     tree = _load(args)
     dec = decompose(tree)
-    chains = [{
-        "bottom": c.bottom, "top": c.top, "beta": c.beta, "w_sum": c.w_sum,
-        "head_delta": c.head_delta, "tail_deltas": list(c.tail_deltas),
-        "tail_owners": list(c.tail_owners),
-    } for _, c in sorted(dec.chains.items())]
+    chains = [_chain_report(c) for _, c in sorted(dec.chains.items())]
     report = {"command": "inspect", "instance": args.instance, **_digest(tree),
               "branching": sorted(dec.branching),
               "order": list(dec.order),
@@ -163,11 +175,12 @@ def cmd_inspect(args) -> int:
     if args.format == "json":
         _emit(report, "json")
     else:
-        for key in ("command", "instance", "n", "leaves", "non_leaves",
-                    "branching", "order"):
-            print(f"{key}={_fmt_value(report[key])}")
-        for chain in chains:
-            print(" ".join(f"{k}={_fmt_value(v)}" for k, v in chain.items()))
+        lines = [f"{key}={_fmt_value(report[key])}" for key in (
+            "command", "instance", "n", "leaves", "non_leaves", "branching",
+            "order")]
+        lines += [" ".join(f"{k}={_fmt_value(v)}" for k, v in chain.items())
+                  for chain in chains]
+        print("\n".join(lines))
     return EXIT_OK
 
 

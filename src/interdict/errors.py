@@ -45,10 +45,6 @@ class LeafInSet(InterdictError):
     """An upgrade set contains a leaf; upgrading a leaf touches no edge."""
 
 
-class InfeasibleIndex(InterdictError):
-    """A chain table was queried outside its feasible (eps, k) domain."""
-
-
 class TooLargeForOracle(InterdictError):
     """The instance exceeds the brute-force enumeration guard."""
 

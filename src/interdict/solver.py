@@ -39,6 +39,11 @@ Where a merge has only one split, none runs and no backpointer is kept:
   would see had the merge run, and no chain table is built for the edge;
 * a convolution with a one-cell operand is a single vectorised operation.
 
+Reconstruction reads only the split of each merge, so a value row is
+dropped as soon as the merge above it has read it: what a solve keeps is
+one int32 backpointer pair per merge that ran, one int8 eps row per
+junction and the root's budget-to-value row.
+
 Ties in every argmax prefer eps=0, then the smallest branch-side budget,
 which makes reported upgrade sets deterministic.
 """
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainTable, chain_g_table
-from .decompose import Decomposition, decompose
+from .decompose import Chain, Decomposition, decompose
 from .errors import InstanceError, _decimal
 from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
                    evaluate_min_distance)
@@ -74,43 +79,36 @@ class TableSlice:
     bp0: np.ndarray | None = None
     bp1: np.ndarray | None = None
 
-    def get(self, eps: int, k: int) -> int | None:
-        """Cell value, or None where the cell is infeasible."""
-        if eps == 0:
-            return int(self.f0[k]) if 0 <= k < len(self.f0) else None
-        if eps == 1:
-            return int(self.f1[k - 1]) if 1 <= k <= len(self.f1) else None
-        return None
 
-    def split(self, eps: int, k: int) -> int:
-        """Left-operand budget of the maximizing split for a feasible cell."""
-        raw = self.bp0[k] if eps == 0 else self.bp1[k - 1]
-        return int(raw) + eps
+Backpointers = tuple[np.ndarray, np.ndarray]  # a merge's (bp0, bp1)
+
+
+def _split(bps: Backpointers, eps: int, k: int) -> int:
+    """Left-operand budget of the maximizing split for cell ``(eps, k)``."""
+    return int(bps[eps][k - eps]) + eps
 
 
 @dataclass
 class DpTables:
-    """All tables of one solve, kept for reconstruction and inspection.
+    """What the backpointer walk of one solve reads; values are dropped
+    once the merge above has consumed them.
 
-    ``serial[(v, q)]`` covers the q-th branch at junction ``v``;
-    ``parallel[(v, q)]`` covers the union of branches ``1..q``. Both exist
-    for every q except a leaf edge after the first branch, whose merge is a
-    cap; a leaf chain's serial slice is its g-rows, without backpointers.
-    ``parallel[(v, p)]`` at the last branch p exists at every junction and
-    describes the full subtree hanging at ``v``; ``subtree_best[v]``
-    collapses that over eps (``subtree_eps`` records the argmax).
-    ``chain_tables`` is keyed by chain bottom and has no entry for a leaf
-    edge.
+    ``serial[(v, q)]`` holds the ``(bp0, bp1)`` backpointers of the serial
+    merge of the q-th branch at junction ``v``, present where the chain
+    ends in a junction. ``parallel[(v, q)]`` holds those of the parallel
+    merge of branch q into branches ``1..q-1``, present for every q > 1
+    except a leaf edge, whose merge is a cap. ``subtree_eps[v]`` records,
+    per budget, whether the best table of the subtree at ``v`` upgrades
+    ``v``; ``root_best[k]`` is the optimum with ``k`` upgrades.
     """
 
     tree: RootedTree
     decomposition: Decomposition
     budget: int
-    chain_tables: dict[int, ChainTable]
-    serial: dict[tuple[int, int], TableSlice]
-    parallel: dict[tuple[int, int], TableSlice]
-    subtree_best: dict[int, np.ndarray]
+    serial: dict[tuple[int, int], Backpointers]
+    parallel: dict[tuple[int, int], Backpointers]
     subtree_eps: dict[int, np.ndarray]
+    root_best: np.ndarray
 
 
 def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
@@ -127,11 +125,11 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     # g-rows of a one-edge chain into a junction (left) and the prefix
     # after a first-branch leaf edge (right).
     if a.size == 1:
-        return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int64)
+        return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int32)
     if b.size == 1:
-        return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int64)
+        return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int32)
     out = np.full(out_len, _NEG, dtype=np.int64)
-    arg = np.zeros(out_len, dtype=np.int64)
+    arg = np.zeros(out_len, dtype=np.int32)
     # Iterate the shorter operand. Over the right one, highest j first, so
     # strict improvement still leaves the smallest i on ties.
     a_short = a.size <= b.size
@@ -185,7 +183,7 @@ def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
     """Best over eps per budget; ties keep eps=0."""
     kmax = max(len(sl.f0) - 1, len(sl.f1))
     best = np.full(kmax + 1, _NEG, dtype=np.int64)
-    eps = np.zeros(kmax + 1, dtype=np.int64)
+    eps = np.zeros(kmax + 1, dtype=np.int8)
     best[: len(sl.f0)] = sl.f0
     if sl.f1.size:
         view = best[1: len(sl.f1) + 1]
@@ -195,69 +193,74 @@ def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
     return best, eps
 
 
+def _is_leaf_edge(tree: RootedTree, chain: Chain) -> bool:
+    """A one-edge chain down to a leaf, whose split is always forced."""
+    return chain.beta == 1 and tree.is_leaf(chain.bottom)
+
+
 def build_tables(tree: RootedTree, budget: int) -> DpTables:
     """Run the full bottom-up pass; budgets above the upgradable count clamp.
 
     Tables hold int64 cells, each bounded by the longest all-upgraded
     root-leaf path; trees where that path exceeds the int64 range raise
-    :class:`InstanceError`.
+    :class:`InstanceError`. Each value row lives only until the merge above
+    it has read it; backpointers are int32 and ``subtree_eps`` rows int8.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     longest = max(_leaf_distances(tree, tree.non_leaves))
     if longest > _INT64_MAX:
         raise InstanceError(
-            f"longest all-upgraded root-leaf path is {_decimal(longest)}, "
+            f"longest all-upgraded root-leaf path {_decimal(longest)} is "
             f"above the int64 table limit {_INT64_MAX}")
     dec = decompose(tree)
     k_cap = min(budget, len(tree.non_leaves))
 
-    chain_tables = {bottom: chain_g_table(chain, k_cap)  # leaf edges: none
-                    for bottom, chain in dec.chains.items()
-                    if chain.beta > 1 or not tree.is_leaf(bottom)}
-    serial: dict[tuple[int, int], TableSlice] = {}
-    parallel: dict[tuple[int, int], TableSlice] = {}
-    subtree_best: dict[int, np.ndarray] = {}
+    serial: dict[tuple[int, int], Backpointers] = {}
+    parallel: dict[tuple[int, int], Backpointers] = {}
+    subtree_best: dict[int, np.ndarray] = {}  # junctions not yet merged
     subtree_eps: dict[int, np.ndarray] = {}
 
     for v in dec.order:
-        cd = dec.cd[v]
-        for q, h in enumerate(cd, start=1):
-            ct = chain_tables.get(h)
-            if ct is None:
-                # A leaf edge: its row is [w], and [u] when the budget
-                # allows. Its only split is k1 = eps, so after the first
-                # branch the parallel merge just caps the prefix.
+        for q, h in enumerate(dec.cd[v], start=1):
+            chain = dec.chains[h]
+            if _is_leaf_edge(tree, chain):
+                # Its row is [w], and [u] when the budget allows. Its only
+                # split is k1 = eps, so after the first branch the parallel
+                # merge just caps the prefix.
                 if q > 1:
                     prefix = TableSlice(np.minimum(prefix.f0, tree.w[h]),
                                         np.minimum(prefix.f1, tree.u[h]))
                     continue
                 sl = TableSlice(np.array([tree.w[h]], dtype=np.int64),
                                 np.array([tree.u[h]], dtype=np.int64)[:k_cap])
-            elif tree.is_leaf(h):
-                sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on the chain
             else:
-                sl = combine_serial(ct, subtree_best[h], k_cap)
-            serial[(v, q)] = sl
-            prefix = sl if q == 1 else combine_parallel(sl, prefix, k_cap)
-            parallel[(v, q)] = prefix
-        parallel[(v, len(cd))] = prefix
+                ct = chain_g_table(chain, k_cap)
+                if tree.is_leaf(h):
+                    sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on chain
+                else:
+                    sl = combine_serial(ct, subtree_best.pop(h), k_cap)
+                    serial[(v, q)] = (sl.bp0, sl.bp1)
+            if q == 1:
+                prefix = sl
+            else:
+                prefix = combine_parallel(sl, prefix, k_cap)
+                parallel[(v, q)] = (prefix.bp0, prefix.bp1)
         subtree_best[v], subtree_eps[v] = _collapse(prefix)
-    root_cells = len(subtree_best[tree.root])
-    if root_cells != k_cap + 1:
+    root_best = subtree_best.pop(tree.root)
+    if len(root_best) != k_cap + 1:
         raise RuntimeError(
-            f"internal error: root row has {root_cells} cells, "
+            f"internal error: root row has {len(root_best)} cells, "
             f"expected {k_cap + 1}")
 
     return DpTables(
         tree=tree,
         decomposition=dec,
         budget=k_cap,
-        chain_tables=chain_tables,
         serial=serial,
         parallel=parallel,
-        subtree_best=subtree_best,
         subtree_eps=subtree_eps,
+        root_best=root_best,
     )
 
 
@@ -275,19 +278,19 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
         cd = dec.cd[v]
         for q in range(len(cd), 0, -1):
             h = cd[q - 1]
-            ct = tables.chain_tables.get(h)
-            if ct is None:
-                continue  # a leaf edge takes k1 = eps: v alone, if anything
+            chain = dec.chains[h]
+            if _is_leaf_edge(tree, chain):
+                continue  # it takes k1 = eps: v alone, if anything
             if q > 1:
-                k1 = tables.parallel[(v, q)].split(eps, k)
+                k1 = _split(tables.parallel[(v, q)], eps, k)
                 k = k - k1 + eps  # remainder flows to branches 1..q-1
             else:
                 k1 = k
             if tree.is_leaf(h):
                 k_chain = k1
             else:
-                k_chain = tables.serial[(v, q)].split(eps, k1)
-            upgraded |= ct.upgraded_nodes(eps, k_chain)
+                k_chain = _split(tables.serial[(v, q)], eps, k1)
+            upgraded |= chain.upgrade_set(eps, k_chain)
             k_below = k1 - k_chain
             if k_below > 0:
                 stack.append(
@@ -302,7 +305,7 @@ def _read_solution(tables: DpTables, k: int) -> Solution:
     returning, so a solution can never silently disagree with its set.
     """
     tree = tables.tree
-    value = int(tables.subtree_best[tree.root][k])
+    value = int(tables.root_best[k])
     upgraded = frozenset(_extract_upgrades(tables, k))
     realized = evaluate_min_distance(tree, upgraded)
     if realized != value:

@@ -34,6 +34,7 @@ from interdict import (
 )
 from interdict.bench import run_bench
 from interdict.chains import chain_g_table
+from interdict.solver import TableSlice, combine_parallel, combine_serial
 from interdict.cli import main as cli_main
 
 # chain bottom -> {(eps, k): value}: full expected chain tables of the
@@ -74,31 +75,43 @@ def test_criterion_1_golden_regression(ex1):
     for bottom, cells in GOLDEN_CHAIN_CELLS.items():
         table = chain_g_table(dec.chains[bottom], budget=5)
         for (eps, k), value in cells.items():
-            assert table.g(eps, k) == value, (bottom, eps, k)
+            assert (table.g0[k] if eps == 0 else table.g1[k - 1]) == value, \
+                (bottom, eps, k)
             checked += 1
     assert checked == 18
 
-    # full subtree under the deeper junction with two leaf branches
-    sl = tables.parallel[(7, 2)]
-    assert (sl.get(0, 0), sl.get(0, 1), sl.get(1, 1)) == (3, 3, 10)
+    # Merged tables at budget 1, rebuilt from their golden operands (the
+    # solve keeps only backpointers): f0 = (f(0, 0), f(0, 1)), f1 = (f(1, 1),)
+    def rows(sl):
+        return sl.f0.tolist(), sl.f1.tolist()
 
-    # the root branch through node 2 (chain plus inner junction)
-    q2 = dec.cd[1].index(2) + 1
-    sl = tables.serial[(1, q2)]
-    assert (sl.get(0, 0), sl.get(0, 1), sl.get(1, 1)) == (10, 16, 14)
+    def g_rows(bottom):  # a chain ending in a leaf: its rows are its g-rows
+        table = chain_g_table(dec.chains[bottom], 1)
+        return TableSlice(table.g0, table.g1)
 
-    # the full tree table at the root
-    q_last = len(dec.cd[1])
-    sl = tables.parallel[(1, q_last)]
-    assert sl.get(0, 1) == 9 and sl.get(1, 1) == 13
+    # full subtree under the deeper junction with two leaf branches: chain
+    # 10's g-rows merged into leaf edge 8's rows [3] and [10]
+    sl = combine_parallel(g_rows(10), TableSlice(np.array([3]),
+                                                 np.array([10])), 1)
+    assert rows(sl) == ([3, 3], [10])
+
+    # the root branch through node 2 (chain plus inner junction, whose
+    # subtree row is [4, 10])
+    s2 = combine_serial(chain_g_table(dec.chains[2], 1), np.array([4, 10]), 1)
+    assert rows(s2) == ([10, 16], [14])
+
+    # the full tree table at the root, and the root row of the solve
+    s7 = combine_serial(chain_g_table(dec.chains[7], 1), np.array([3, 10]), 1)
+    s6 = g_rows(6)
+    sl = combine_parallel(s7, combine_parallel(s6, s2, 1), 1)
+    assert sl.f0[1] == 9 and sl.f1[0] == 13
+    assert tables.root_best.tolist() == [7, 13]
 
     # Cross-check of one intermediate combination: min-combining the branch
     # through node 7 with the chain to node 6, one upgrade, junction not
     # upgraded, must give 9 (not 7; nothing smaller is consistent with the
     # two branch slices above).
-    s7 = tables.serial[(1, dec.cd[1].index(7) + 1)]
-    s6 = tables.serial[(1, dec.cd[1].index(6) + 1)]
-    combos = [min(s6.get(0, k1), s7.get(0, 1 - k1)) for k1 in (0, 1)]
+    combos = [min(s6.f0[k1], s7.f0[1 - k1]) for k1 in (0, 1)]
     assert max(combos) == 9
 
     sol = solve_max(ex1, 1)

@@ -60,14 +60,14 @@ class TestProfile:
         rng = random.Random(9)
         for tree in rng.sample(battery, 40):
             cap = len(tree.non_leaves)
-            profile = build_tables(tree, cap).subtree_best[tree.root]
+            profile = build_tables(tree, cap).root_best
             assert profile.tolist() == \
                 [solve_max(tree, k).value for k in range(cap + 1)]
 
     def test_corrupted_profile_raises(self, ex1, monkeypatch):
         def corrupted(tree, budget):
             tables = build_tables(tree, budget)
-            best = tables.subtree_best[tree.root]
+            best = tables.root_best
             best[1], best[2] = best[2], best[1] - 1
             return tables
 

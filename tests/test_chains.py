@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdict import (
-    InfeasibleIndex,
     build_tree,
     chain_g_table,
     decompose,
@@ -19,6 +18,11 @@ def path_chain(weights):
     dec = decompose(tree)
     (chain,) = dec.chains.values()
     return tree, chain
+
+
+def g(table, eps, k):
+    """g(eps, k) read from the table's rows."""
+    return int(table.g0[k] if eps == 0 else table.g1[k - 1])
 
 
 def brute_chain_value(tree, chain, eps, k):
@@ -62,13 +66,12 @@ class TestGoldenTables:
         for bottom, cells in self.EXPECTED.items():
             table = chain_g_table(dec.chains[bottom], budget=5)
             for (eps, k), value in cells.items():
-                assert table.g(eps, k) == value, (bottom, eps, k)
+                assert g(table, eps, k) == value, (bottom, eps, k)
 
     def test_upgrade_sets(self, ex1):
         dec = decompose(ex1)
         for (bottom, eps, k), nodes in self.EXPECTED_SETS.items():
-            table = chain_g_table(dec.chains[bottom], budget=5)
-            assert table.upgraded_nodes(eps, k) == nodes
+            assert dec.chains[bottom].upgrade_set(eps, k) == nodes
 
 
 class TestDomain:
@@ -76,29 +79,28 @@ class TestDomain:
         dec = decompose(ex1)
         for chain in dec.chains.values():
             table = chain_g_table(chain, budget=0)
-            assert table.g(0, 0) == chain.w_sum
-            assert table.upgraded_nodes(0, 0) == frozenset()
-            assert not table.feasible(1, 1)
+            assert table.g0.tolist() == [chain.w_sum]
+            assert chain.upgrade_set(0, 0) == frozenset()
+            assert len(table.g1) == 0
 
     def test_single_edge_chain(self):
         _, chain = path_chain([(5, 7)])
         table = chain_g_table(chain, budget=3)
-        assert table.feasible(0, 0) and table.feasible(1, 1)
-        assert not table.feasible(0, 1)  # no tail edge to upgrade
-        assert table.g(1, 1) == 7
+        assert len(table.g0) == 1  # no tail edge to upgrade
+        assert table.g1.tolist() == [7]
 
     def test_infeasible_queries_raise(self):
         _, chain = path_chain([(1, 2), (1, 3)])
         table = chain_g_table(chain, budget=5)
+        assert (len(table.g0), len(table.g1)) == (2, 2)
         for eps, k in [(0, 2), (0, -1), (1, 0), (1, 3), (2, 0)]:
-            with pytest.raises(InfeasibleIndex):
-                table.g(eps, k)
+            with pytest.raises(ValueError, match="infeasible chain cell"):
+                chain.upgrade_set(eps, k)
 
     def test_budget_clamps_rows(self):
         _, chain = path_chain([(1, 5), (1, 4), (1, 3), (1, 2)])
         table = chain_g_table(chain, budget=2)
-        assert table.feasible(0, 2) and not table.feasible(0, 3)
-        assert table.feasible(1, 2) and not table.feasible(1, 3)
+        assert len(table.g0) == 3 and len(table.g1) == 2
 
 
 class TestProperties:
@@ -109,12 +111,10 @@ class TestProperties:
         weights = [(w, w + d) for w, d in pairs]
         tree, chain = path_chain(weights)
         table = chain_g_table(chain, budget=len(weights))
-        for eps in (0, 1):
-            for k in range(chain.beta + 1):
-                if not table.feasible(eps, k):
-                    continue
-                assert table.g(eps, k) == brute_chain_value(tree, chain, eps, k)
-                realized = table.upgraded_nodes(eps, k)
+        for eps, row in ((0, table.g0), (1, table.g1)):
+            for k, value in enumerate(row.tolist(), start=eps):
+                assert value == brute_chain_value(tree, chain, eps, k)
+                realized = chain.upgrade_set(eps, k)
                 assert len(realized) == k
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
@@ -134,4 +134,4 @@ class TestProperties:
         # the best single upgrade
         _, chain = path_chain([(3, 4), (2, 11)])
         table = chain_g_table(chain, budget=2)
-        assert table.g(1, 1) < table.g(0, 1)
+        assert g(table, 1, 1) < g(table, 0, 1)

@@ -184,6 +184,17 @@ class TestInspect:
         assert code == 0
         assert json.loads(out) == {**EX1_INSPECT, "instance": ex1_file}
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_length_past_str_digit_limit(self, capsys, tmp_path, fmt):
+        # Scaled, the chain length has more digits than Python will print.
+        path = tmp_path / "long.txt"
+        path.write_text("2 1\n2 1 1e4299 1e4299\n")
+        code, out, err = run_cli(capsys, "inspect", str(path), "--scale", "10",
+                                 "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: chain to 2: length of 4301 digits is too " \
+                      "long to print\n"
+
 
 class TestBench:
     def test_tiny_run_text(self, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdict import (
+    GeneratorConfig,
     InstanceError,
     all_upgraded_min_distance,
     brute_force_cost,
     brute_force_max,
     build_tables,
     build_tree,
+    chain_g_table,
     decompose,
     evaluate_min_distance,
+    random_tree,
     solve_cost,
     solve_max,
 )
@@ -27,74 +32,129 @@ INT64_MAX = 2**63 - 1
 EDGE_WEIGHTS = (0, 1, 3, 2**40, 2**61 - 1)
 
 
-def branch_index(tables, v, h):
-    """1-based branch position of critical descendant h at junction v."""
-    return tables.decomposition.cd[v].index(h) + 1
+def cell(sl, eps, k):
+    """Value of cell ``(eps, k)`` of a merged slice, or None where the cell
+    is infeasible."""
+    row, i = (sl.f0, k) if eps == 0 else (sl.f1, k - 1)
+    return int(row[i]) if 0 <= i < len(row) else None
+
+
+def golden_branches(ex1):
+    """The root's branches of the golden instance at budget 1, merged from
+    their operands. The subtree rows under junctions 2 and 7 are [4, 10]
+    and [3, 10] (checked in TestTables)."""
+    chains = decompose(ex1).chains
+    return {
+        2: solver.combine_serial(chain_g_table(chains[2], 1),
+                                 np.array([4, 10]), 1),
+        6: leaf_chain_slice(chain_g_table(chains[6], 1)),
+        7: solver.combine_serial(chain_g_table(chains[7], 1),
+                                 np.array([3, 10]), 1),
+    }
+
+
+def junction_subtree(tree, v):
+    """The subtree hanging at ``v``, as a tree rooted at ``v``."""
+    inside, records = {v}, []
+    for c in tree.bfs_order:  # parents come before their children
+        if tree.parent.get(c) in inside:
+            inside.add(c)
+            records.append((c, tree.parent[c], tree.w[c], tree.u[c]))
+    return build_tree(records, root=v)
+
+
+def exact_best(tree, eps, k):
+    """Best value with exactly ``k`` upgrades, the root among them iff
+    ``eps``; None where no such set exists."""
+    if k < eps:
+        return None
+    top = (tree.root,) if eps else ()
+    others = sorted(v for v in tree.non_leaves if v != tree.root)
+    return max((evaluate_min_distance(tree, top + rest)
+                for rest in itertools.combinations(others, k - eps)),
+               default=None)
+
+
+def leaf_edge_slice(w, u):
+    """A one-edge chain down to a leaf: rows [w] and [u]."""
+    return solver.TableSlice(np.array([w]), np.array([u]))
+
+
+def leaf_chain_slice(table):
+    """A chain ending in a leaf: its g-rows are its branch rows."""
+    return solver.TableSlice(table.g0, table.g1)
 
 
 class TestTables:
     """Slice values of the golden instance, checked cell by cell."""
 
     def test_serial_branch_under_root_via_v7(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.serial[(1, branch_index(tables, 1, 7))]
-        assert sl.get(0, 0) == 7
-        assert sl.get(0, 1) == 14
-        assert sl.get(1, 1) == 13
+        sl = golden_branches(ex1)[7]
+        assert cell(sl, 0, 0) == 7
+        assert cell(sl, 0, 1) == 14
+        assert cell(sl, 1, 1) == 13
 
     def test_serial_branch_under_root_via_v2(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.serial[(1, branch_index(tables, 1, 2))]
-        assert sl.get(0, 0) == 10
-        assert sl.get(0, 1) == 16
-        assert sl.get(1, 1) == 14
+        sl = golden_branches(ex1)[2]
+        assert cell(sl, 0, 0) == 10
+        assert cell(sl, 0, 1) == 16
+        assert cell(sl, 1, 1) == 14
 
     def test_serial_branch_under_root_via_v6(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.serial[(1, branch_index(tables, 1, 6))]
-        assert (sl.get(0, 0), sl.get(0, 1), sl.get(1, 1)) == (9, 11, 18)
+        sl = golden_branches(ex1)[6]
+        assert (cell(sl, 0, 0), cell(sl, 0, 1), cell(sl, 1, 1)) == (9, 11, 18)
 
     def test_parallel_full_subtree_v7(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.parallel[(7, 2)]
-        assert sl.get(0, 0) == 3
-        assert sl.get(0, 1) == 3
-        assert sl.get(1, 1) == 10
+        # Chain 10's g-rows merged into leaf edge 8's rows [3] and [10].
+        g10 = chain_g_table(decompose(ex1).chains[10], 1)
+        sl = solver.combine_parallel(leaf_chain_slice(g10),
+                                     leaf_edge_slice(3, 10), 1)
+        assert cell(sl, 0, 0) == 3
+        assert cell(sl, 0, 1) == 3
+        assert cell(sl, 1, 1) == 10
+        tables = build_tables(junction_subtree(ex1, 7), 1)
+        assert tables.root_best.tolist() == [3, 10]
+        assert tables.subtree_eps[7].tolist() == [0, 1]
 
     def test_parallel_full_subtree_v2(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.parallel[(2, 2)]
-        assert sl.get(0, 0) == 4
-        assert sl.get(1, 1) == 10
+        # Two leaf edges: the second caps the first's rows.
+        tables = build_tables(junction_subtree(ex1, 2), 1)
+        assert tables.root_best.tolist() == [4, 10]
+        assert tables.subtree_eps[2].tolist() == [0, 1]
 
     def test_parallel_full_tree(self, ex1):
+        branches = golden_branches(ex1)
+        prefix = solver.combine_parallel(branches[6], branches[2], 1)
+        sl = solver.combine_parallel(branches[7], prefix, 1)
+        assert cell(sl, 0, 0) == 7
+        assert cell(sl, 0, 1) == 9
+        assert cell(sl, 1, 1) == 13
         tables = build_tables(ex1, budget=1)
-        sl = tables.parallel[(1, 3)]
-        assert sl.get(0, 0) == 7
-        assert sl.get(0, 1) == 9
-        assert sl.get(1, 1) == 13
+        assert tables.root_best.tolist() == [7, 13]
+        assert tables.subtree_eps[1].tolist() == [0, 1]
 
     def test_best_is_max_over_eps(self, ex1):
         tables = build_tables(ex1, budget=3)
         for v in tables.decomposition.order:
-            q = len(tables.decomposition.cd[v])
-            sl = tables.parallel[(v, q)]
-            best = tables.subtree_best[v]
+            sub = junction_subtree(ex1, v)
+            best = build_tables(sub, 3).root_best
             for k in range(len(best)):
-                cells = [c for c in (sl.get(0, k), sl.get(1, k)) if c is not None]
-                assert best[k] == max(cells)
+                cells = [exact_best(sub, eps, k) for eps in (0, 1)]
+                assert best[k] == max(c for c in cells if c is not None)
+                assert tables.subtree_eps[v][k] == int(cells[0] != best[k])
 
     def test_leaf_bottom_branch_budget_zero(self, ex1):
-        tables = build_tables(ex1, budget=0)
-        sl = tables.serial[(7, branch_index(tables, 7, 8))]
-        assert sl.get(0, 0) == 3
-        assert sl.get(1, 1) is None
+        # Branch 8 under junction 7 is a leaf edge; alone it is a whole
+        # tree, whose row holds f(0, 0) and no f(1, 1) at budget 0.
+        edge = build_tree([(8, 7, ex1.w[8], ex1.u[8])], root=7)
+        assert build_tables(edge, 0).root_best.tolist() == [3]
 
     def test_infeasible_cells_absent(self, ex1):
-        tables = build_tables(ex1, budget=1)
-        sl = tables.parallel[(7, 2)]
-        assert sl.get(1, 0) is None
-        assert sl.get(0, 5) is None
+        g10 = chain_g_table(decompose(ex1).chains[10], 1)
+        sl = solver.combine_parallel(leaf_chain_slice(g10),
+                                     leaf_edge_slice(3, 10), 1)
+        assert cell(sl, 1, 0) is None
+        assert cell(sl, 0, 5) is None
 
 
 class TestSolve:
@@ -159,7 +219,7 @@ class TestInt64Range:
         # The length has more digits than Python will print.
         tree = build_tree([(2, 1, 10**4300, 10**4300)], 1)
         with pytest.raises(InstanceError,
-                           match="is of 4301 digits, above the int64"):
+                           match="path of 4301 digits is above the int64"):
             build_tables(tree, 1)
 
     def test_largest_int64_path_solved_exactly(self):
@@ -167,6 +227,26 @@ class TestInt64Range:
         tree = build_tree([(2, 1, 0, top), (3, 2, 0, top - 1)], 1)
         sol = solve_max(tree, 2)
         assert sol.value == 2**63 - 1 and sol.upgraded == {1, 2}
+
+
+class TestRetainedMemory:
+    """A solve keeps backpointers, eps rows and the root row, not values."""
+
+    def test_caterpillar_tables_stay_small(self):
+        # About 29 MB either way. Keeping every merge's value rows retains
+        # about 182 MB; keeping each junction's row until the pass ends
+        # peaks at about 51 MB.
+        tree = random_tree(GeneratorConfig(n=10_000, seed=5,
+                                           shape="caterpillar"))
+        tracemalloc.start()
+        try:
+            tables = build_tables(tree, 1000)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 40 * 2**20
+        assert peak < 40 * 2**20
+        assert len(tables.root_best) == 1001
 
 
 class TestInvariantsSurviveOptimize:
