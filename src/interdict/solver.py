@@ -19,9 +19,11 @@ Two merge steps build the tables bottom-up:
 Both steps run one convolution routine over dense budget arrays, with
 ``+`` as the inner operation for the serial (max,+) merge and ``min`` for
 the parallel (max,min) merge; all feasible cells are contiguous, so no
-sparsity handling is needed. Each table's
-length follows from its operands: a merge of rows with ``a`` and ``b``
-cells has ``min(a + b - 1, limit)`` cells, so a region's row ends at its
+sparsity handling is needed. Every row is non-decreasing (an upgrade never
+shortens an edge), so the parallel merge needs no loop over splits: it is
+a capped sorted merge of the two rows. Each table's length follows from
+its operands: a merge of rows with ``a`` and ``b`` cells has
+``min(a + b - 1, limit)`` cells, so a region's row ends at its
 upgradable (non-leaf) node count or at the overall budget, whichever is
 smaller. That keeps the whole solve within O(n * K^2); with K unclamped
 (the minimum-budget search) the region sizes alone bound it by O(n^2),
@@ -37,6 +39,9 @@ Where a merge has only one split, none runs and no backpointer is kept:
   ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. The caps are applied in
   critical-descendant order, so every later merge sees the rows and ties it
   would see had the merge run, and no chain table is built for the edge;
+* a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
+  branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
+  no chain table and no serial merge;
 * a convolution with a one-cell operand is a single vectorised operation.
 
 Reconstruction reads only the split of each merge, so a value row is
@@ -95,11 +100,12 @@ class DpTables:
 
     ``serial[(v, q)]`` holds the ``(bp0, bp1)`` backpointers of the serial
     merge of the q-th branch at junction ``v``, present where the chain
-    ends in a junction. ``parallel[(v, q)]`` holds those of the parallel
-    merge of branch q into branches ``1..q-1``, present for every q > 1
-    except a leaf edge, whose merge is a cap. ``subtree_eps[v]`` records,
-    per budget, whether the best table of the subtree at ``v`` upgrades
-    ``v``; ``root_best[k]`` is the optimum with ``k`` upgrades.
+    has two or more edges and ends in a junction. ``parallel[(v, q)]``
+    holds those of the parallel merge of branch q into branches
+    ``1..q-1``, present for every q > 1 except a leaf edge, whose merge is
+    a cap. ``subtree_eps[v]`` records, per budget, whether the best table
+    of the subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the
+    optimum with ``k`` upgrades.
     """
 
     tree: RootedTree
@@ -118,16 +124,30 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     for the parallel (max,min) merge. The result has
     ``min(a.size + b.size - 1, limit)`` cells (none if an operand is
     empty), each covered by at least one split.
+
+    For ``np.minimum`` both rows must be non-decreasing, which every DP row
+    is: ``build_tree`` keeps ``0 <= w <= u``, so a best exact-k value can
+    always take one more upgrade. Then the merge is a capped sorted merge:
+    out[m] is the (m+1)-th smallest cell of both rows, capped at the smaller
+    last cell, and its smallest split is the first i with ``a[i] >= out[m]``
+    that leaves ``j = m - i`` inside ``b``.
     """
-    out_len = min(a.size + b.size - 1, limit) if a.size and b.size else 0
-    # A one-cell operand leaves one split per cell: no loop, no ties. After
-    # the leaf folding in build_tables most remaining calls have one: the
-    # g-rows of a one-edge chain into a junction (left) and the prefix
-    # after a first-branch leaf edge (right).
+    if not (a.size and b.size):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
+    out_len = min(a.size + b.size - 1, limit)
+    # A one-cell operand leaves one split per cell: no loop, no ties. On the
+    # right it is the prefix after a first-branch leaf edge; on the left it
+    # occurs only at budgets 0 and 1.
     if a.size == 1:
         return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int32)
     if b.size == 1:
         return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int32)
+    if op is np.minimum:
+        out = np.minimum(np.sort(np.concatenate((a, b)))[:out_len],
+                         min(a[-1], b[-1]))
+        arg = np.maximum(np.searchsorted(a, out, "left"),
+                         np.arange(out_len) - (b.size - 1))
+        return out, arg.astype(np.int32)
     out = np.full(out_len, _NEG, dtype=np.int64)
     arg = np.zeros(out_len, dtype=np.int32)
     # Iterate the shorter operand. Over the right one, highest j first, so
@@ -234,6 +254,12 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                     continue
                 sl = TableSlice(np.array([tree.w[h]], dtype=np.int64),
                                 np.array([tree.u[h]], dtype=np.int64)[:k_cap])
+            elif chain.beta == 1:
+                # One edge into a junction: its rows are [w] and [u], so its
+                # only split is k_chain = eps and the serial merge is a shift.
+                below = subtree_best.pop(h)
+                sl = TableSlice(below[:k_cap + 1] + tree.w[h],
+                                below[:k_cap] + tree.u[h])
             else:
                 ct = chain_g_table(chain, k_cap)
                 if tree.is_leaf(h):
@@ -288,6 +314,8 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
                 k1 = k
             if tree.is_leaf(h):
                 k_chain = k1
+            elif chain.beta == 1:
+                k_chain = eps  # one edge into a junction: v alone, if anything
             else:
                 k_chain = _split(tables.serial[(v, q)], eps, k1)
             upgraded |= chain.upgrade_set(eps, k_chain)

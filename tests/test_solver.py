@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdict import (
+    SHAPES,
     GeneratorConfig,
     InstanceError,
     all_upgraded_min_distance,
@@ -248,6 +249,23 @@ class TestRetainedMemory:
         assert peak < 40 * 2**20
         assert len(tables.root_best) == 1001
 
+    def test_forced_serial_merges_store_nothing(self):
+        # The same pass: about 15 MB once the one-edge chains into a
+        # junction (1949 of 3151 serial merges) keep no backpointers, about
+        # 29 MB when they do.
+        tree = random_tree(GeneratorConfig(n=10_000, seed=5,
+                                           shape="caterpillar"))
+        tracemalloc.start()
+        try:
+            tables = build_tables(tree, 1000)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 20 * 2**20
+        dec = tables.decomposition
+        assert all(dec.chains[dec.cd[v][q - 1]].beta > 1
+                   for v, q in tables.serial)
+
 
 class TestInvariantsSurviveOptimize:
     """Structural faults raise RuntimeError, which ``python -O`` keeps."""
@@ -289,14 +307,16 @@ def naive_convolve(op, a, b, out_len):
 class TestConvolve:
     """``_convolve`` against a plain double loop, ties included."""
 
-    @pytest.mark.parametrize("op, ref", [(np.add, operator.add),
-                                         (np.minimum, min)],
+    # The (max,min) merge requires non-decreasing rows, as every DP row is.
+    @pytest.mark.parametrize("op, ref, rows", [(np.add, operator.add, list),
+                                               (np.minimum, min, sorted)],
                              ids=["maxplus", "maxmin"])
     @given(a=st.lists(st.integers(0, 3), max_size=7),
            b=st.lists(st.integers(0, 3), max_size=7),
            data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_naive(self, op, ref, a, b, data):
+    def test_matches_naive(self, op, ref, rows, a, b, data):
+        a, b = rows(a), rows(b)
         limit = data.draw(st.integers(0, len(a) + len(b) + 2))
         # The result stops at the last cell with a split, or at the limit.
         out_len = min(limit, len(a) + len(b) - 1) if a and b else 0
@@ -461,3 +481,39 @@ class TestForcedSplits:
         assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls == {"chain_g_table": 1, "combine_serial": 1,
                          "combine_parallel": 0}
+
+    def test_edges_into_junctions_run_no_serial_merge(self, calls):
+        # The root's three children are junctions fanning into four leaves
+        # each, so every chain is a single edge.
+        records = [(c, 1, c, c + 2) for c in (2, 3, 4)]
+        records += [(10 * p + i, p, (p + i) % 3, (p + i) % 3 + i % 2)
+                     for p in (2, 3, 4) for i in range(4)]
+        tree = build_tree(records, root=1)
+        budgets = range(len(tree.non_leaves) + 1)
+        for k in budgets:
+            assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
+        assert calls == {"chain_g_table": 0, "combine_serial": 0,
+                         "combine_parallel": 2 * len(budgets)}
+
+
+class TestMonotoneRows:
+    """The capped sorted (max,min) merge requires non-decreasing rows."""
+
+    def test_parallel_operands_non_decreasing(self, monkeypatch):
+        checked = []
+        real = solver.combine_parallel
+
+        def wrapper(branch, prefix, budget):
+            for row in (branch.f0, branch.f1, prefix.f0, prefix.f1):
+                checked.append(bool(np.all(row[1:] >= row[:-1])))
+            return real(branch, prefix, budget)
+
+        monkeypatch.setattr(solver, "combine_parallel", wrapper)
+        trees = tie_heavy_trees() + [
+            random_tree(GeneratorConfig(n=60, seed=seed, w_max=2,
+                                        delta_max=2, shape=shape))
+            for shape in SHAPES for seed in range(3)]
+        for tree in trees:
+            for k in range(len(tree.non_leaves) + 1):
+                solve_max(tree, k)
+        assert checked and all(checked)
