@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TargetUnreachable
+from .errors import TargetUnreachable, _decimal
 from .solver import _read_solution, build_tables
 from .tree import RootedTree, Solution, all_upgraded_min_distance
 
@@ -53,7 +53,7 @@ def solve_cost(tree: RootedTree, target: int) -> CostResult:
     upgrading every non-leaf node falls short.
     """
     if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
+        raise ValueError(f"target {_decimal(target)} is below 0")
     ceiling = all_upgraded_min_distance(tree)
     if target > ceiling:
         raise TargetUnreachable(target, ceiling)

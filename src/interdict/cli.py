@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: solve-max, solve-cost, gen, verify, inspect, bench. Reports
-go to stdout as line-oriented ``key=value`` text or as a single JSON
-object (``--format json``); both are deterministic for fixed inputs and
-seeds. Wall-clock timings are diagnostics, not results, and are written to
-stderr (bench is the exception: timing columns are its payload).
+Subcommands: solve-max, solve-cost, gen, verify, inspect. Reports go to
+stdout as line-oriented ``key=value`` text or as a single JSON object
+(``--format json``); both are deterministic for fixed inputs and seeds.
+Wall-clock timings are diagnostics, not results, and are written to
+stderr.
 
 Exit codes: 0 success, 2 invalid input, 3 unreachable target, 4 oracle
 mismatch (verify only).
@@ -17,7 +17,6 @@ import json
 import sys
 import time
 
-from .bench import run_bench
 from .budget import solve_cost
 from .decompose import Chain, decompose
 from .errors import (InstanceError, InterdictError, TargetUnreachable,
@@ -36,8 +35,6 @@ EXIT_MISMATCH = 4
 
 
 def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_fmt_value(v) for v in value) + "]"
     return str(value)
@@ -48,11 +45,7 @@ def _emit(report: dict, fmt: str) -> None:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for key, value in report.items():
-            if isinstance(value, list) and value and isinstance(value[0], dict):
-                for row in value:  # bench rows: one line each
-                    print(" ".join(f"{k}={_fmt_value(v)}" for k, v in row.items()))
-            else:
-                print(f"{key}={_fmt_value(value)}")
+            print(f"{key}={_fmt_value(value)}")
 
 
 def _digest(tree: RootedTree) -> dict:
@@ -131,15 +124,17 @@ def cmd_verify(args) -> int:
     tree = _load(args)
     report = {"command": "verify", "instance": args.instance, **_digest(tree)}
     start = time.perf_counter()
+    # The oracle runs first: it rejects a tree over its size limit at once,
+    # before the DP spends any work on it.
     if args.budget is not None:
-        dp = solve_max(tree, args.budget).value
         oracle, _ = brute_force_max(tree, args.budget)
+        dp = solve_max(tree, args.budget).value
         report.update(budget=args.budget, dp=dp, oracle=oracle)
         ok = dp == oracle
     else:
         target = _scaled_target(args)
-        dp = solve_cost(tree, target).kstar
         oracle = brute_force_cost(tree, target)
+        dp = solve_cost(tree, target).kstar
         report.update(target=target, dp_kstar=dp, oracle_kstar=oracle)
         ok = dp == oracle
     _time_note((time.perf_counter() - start) * 1000)
@@ -181,25 +176,6 @@ def cmd_inspect(args) -> int:
         lines += [" ".join(f"{k}={_fmt_value(v)}" for k, v in chain.items())
                   for chain in chains]
         print("\n".join(lines))
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = run_bench(sizes, trials=args.trials, seed=args.seed,
-                     shape=args.shape, budget_rule=args.budget_rule)
-    report = {"command": "bench", "sizes": sizes, "trials": args.trials,
-              "seed": args.seed, "shape": args.shape,
-              "budget_rule": args.budget_rule,
-              "rows": [{
-                  "n": r.n, "budget": r.budget,
-                  "values": list(r.values), "kstars": list(r.kstars),
-                  "t1_avg": r.t_max_avg, "t1_max": r.t_max_max,
-                  "t1_min": r.t_max_min,
-                  "t2_avg": r.t_cost_avg, "t2_max": r.t_cost_max,
-                  "t2_min": r.t_cost_min,
-              } for r in rows]}
-    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -277,23 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale(p)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("bench", help="time both solvers over generated "
-                                     "instances")
-    p.add_argument("--sizes", default="100,500,1000,2000,3000")
-    p.add_argument("--trials", type=_positive, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--shape", choices=SHAPES, default="uniform-attachment")
-    p.add_argument("--budget-rule", default="n/10",
-                   help="'n/10' (default) or a fixed integer")
-    _add_format(p)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Before Python 3.12, argparse parses "--budget=--" as an empty list,
+    # skipping the option's type and choices; no option here takes a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
     except TargetUnreachable as exc:

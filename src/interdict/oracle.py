@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import TargetUnreachable, TooLargeForOracle
+from .errors import TargetUnreachable, TooLargeForOracle, _decimal
 from .tree import RootedTree, all_upgraded_min_distance, evaluate_min_distance
 
 ORACLE_LIMIT = 25  # max non-leaf count enumerated
@@ -51,7 +51,7 @@ def brute_force_max(tree: RootedTree, budget: int) -> tuple[int, frozenset[int]]
 def brute_force_cost(tree: RootedTree, target: int) -> int:
     """Smallest budget whose brute-force optimum reaches ``target``."""
     if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
+        raise ValueError(f"target {_decimal(target)} is below 0")
     candidates = _guard(tree)
     ceiling = all_upgraded_min_distance(tree)
     if target > ceiling:

@@ -42,7 +42,8 @@ Where a merge has only one split, none runs and no backpointer is kept:
 * a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
   branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
   no chain table and no serial merge;
-* a convolution with a one-cell operand is a single vectorised operation.
+* a convolution whose right operand has one cell is a single vectorised
+  operation.
 
 Reconstruction reads only the split of each merge, so a value row is
 dropped as soon as the merge above it has read it: what a solve keeps is
@@ -135,11 +136,8 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     if not (a.size and b.size):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
     out_len = min(a.size + b.size - 1, limit)
-    # A one-cell operand leaves one split per cell: no loop, no ties. On the
-    # right it is the prefix after a first-branch leaf edge; on the left it
-    # occurs only at budgets 0 and 1.
-    if a.size == 1:
-        return op(a[0], b[:out_len]), np.zeros(out_len, dtype=np.int32)
+    # A one-cell right operand, the prefix after a first-branch leaf edge,
+    # leaves one split per cell: no loop, no ties.
     if b.size == 1:
         return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int32)
     if op is np.minimum:

@@ -30,6 +30,7 @@ from .errors import (
     NegativeWeight,
     TrivialTree,
     UpgradeBelowBase,
+    _decimal,
 )
 
 EdgeRecord = tuple[int, int, int, int]  # (child, parent, w, u)
@@ -161,9 +162,11 @@ def build_tree(edge_records: Sequence[EdgeRecord], root: int) -> RootedTree:
         if child in parent:
             raise DuplicateChild(f"node {child} has two parent edges")
         if wv < 0 or uv < 0:
-            raise NegativeWeight(f"edge into node {child}: w={wv}, u={uv}")
+            raise NegativeWeight(f"edge into node {child}: w {_decimal(wv)} "
+                                 f"and u {_decimal(uv)} must be >= 0")
         if wv > uv:
-            raise UpgradeBelowBase(f"edge into node {child}: w={wv} > u={uv}")
+            raise UpgradeBelowBase(f"edge into node {child}: w {_decimal(wv)} "
+                                   f"exceeds u {_decimal(uv)}")
         parent[child] = par
         w[child] = wv
         u[child] = uv

@@ -1,8 +1,22 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from interdict import SHAPES, GeneratorConfig, build_tree, random_tree
+
+# Number tokens of every form the parser and ``--target`` accept or must
+# reject, for the fuzz tests.
+NUMBER_TOKENS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.integers(-2**70, 2**70).map(str),
+    st.from_regex(r"[-+]?\d{0,3}(\.\d{0,3})?([eE][-+]?\d{1,5})?",
+                  fullmatch=True),
+    st.from_regex(r"[-+]?\d{1,3}/[-+]?\d{1,3}", fullmatch=True),
+    st.sampled_from(["nan", "-inf", "1_0", "0x1", "1e4299", "1e4300",
+                     "1e-4299", "1e99999999", "1/0", "9" * 4400, "\u00bd",
+                     "\u0661\u0662"]),
+)
 
 # Ten-node golden instance: all upgraded lengths are 10. Optimum at budget 1
 # is 13, achieved by upgrading the root.

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import interdict.cli
 from interdict.cli import main
 from interdict import format_instance, build_tree
-from conftest import EX1_RECORDS
+from conftest import EX1_RECORDS, NUMBER_TOKENS
 
 EX1_TEXT = format_instance(build_tree(EX1_RECORDS, root=1))
 
@@ -152,6 +157,29 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", str(path), "--budget", "3")
             assert code == 0 and "verdict=MATCH" in out
 
+    @pytest.mark.parametrize("query", [["--budget", "3"],
+                                       ["--target", "50"]])
+    def test_over_oracle_limit_runs_no_dp(self, capsys, tmp_path,
+                                          monkeypatch, query):
+        path = tmp_path / "big.txt"
+        run_cli(capsys, "gen", "--nodes", "60", "--seed", "5",
+                "--shape", "caterpillar", "-o", str(path))
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("solve_max", "solve_cost"):
+            monkeypatch.setattr(interdict.cli, name,
+                                counting(name, getattr(interdict.cli, name)))
+        code, out, err = run_cli(capsys, "verify", str(path), *query)
+        assert code == 2 and out == ""
+        assert "30 non-leaf nodes exceeds the oracle limit of 25" in err
+        assert calls == []
+
 
 def _chain(bottom, top, beta, w_sum, head_delta, tail=()):
     return {"bottom": bottom, "top": top, "beta": beta, "w_sum": w_sum,
@@ -196,33 +224,24 @@ class TestInspect:
                       "long to print\n"
 
 
-class TestBench:
-    def test_tiny_run_text(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--sizes", "12,20",
-                               "--trials", "2", "--seed", "5")
-        assert code == 0
-        rows = [line for line in out.splitlines() if line.startswith("n=")]
-        assert len(rows) == 2
+def test_removed_bench_subcommand_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_aggregate_identities(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--sizes", "30", "--trials", "3",
-                               "--seed", "2", "--format", "json")
-        assert code == 0
-        row = json.loads(out)["rows"][0]
-        assert row["t1_min"] <= row["t1_avg"] <= row["t1_max"]
-        assert row["t2_min"] <= row["t2_avg"] <= row["t2_max"]
 
-    def test_fixed_budget_rule(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--sizes", "15", "--trials", "1",
-                               "--seed", "3", "--budget-rule", "2",
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["rows"][0]["budget"] == 2
-
-    def test_bad_rule(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--sizes", "15", "--trials", "1",
-                               "--budget-rule", "half")
-        assert code == 2 and "error:" in err
+@pytest.mark.parametrize("argv", [
+    ["solve-max", "{f}", "--budget=--"], ["solve-cost", "{f}", "--target=--"],
+    ["verify", "{f}", "--target=--"],
+    ["solve-max", "{f}", "--budget", "1", "--scale=--"],
+    ["inspect", "{f}", "--format=--"], ["gen", "--nodes=--", "--seed", "1"]])
+def test_double_dash_option_value_is_usage_error(capsys, ex1_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(f=ex1_file) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected one argument" in captured.err
 
 
 def test_console_entry_point(ex1_file):
@@ -303,6 +322,14 @@ def test_large_exponent_within_limit_is_unreachable(capsys, ex1_file):
     assert "unreachable: ceiling 200" in err
 
 
+@pytest.mark.parametrize("command", ["solve-cost", "verify"])
+def test_negative_target_past_str_digit_limit(capsys, ex1_file, command):
+    code, out, err = run_cli(capsys, command, ex1_file, "--target=-1e4299",
+                             "--scale", "10")
+    assert code == 2 and out == ""
+    assert err == "error: target of 4301 digits is below 0\n"
+
+
 @pytest.mark.parametrize("target", ["1e4299", "1e4300"])
 def test_target_past_str_digit_limit_is_unreachable(ex1_file, target):
     # Scaled, the target has more digits than Python will print.
@@ -311,3 +338,34 @@ def test_target_past_str_digit_limit_is_unreachable(ex1_file, target):
     assert proc.returncode == 3 and proc.stdout == ""
     assert "digits unreachable: ceiling 200" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def ex1_module_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ex1.txt"
+    path.write_text(EX1_TEXT)
+    return str(path)
+
+
+TARGET_TOKENS = st.one_of(NUMBER_TOKENS, st.sampled_from(["-", "--"]),
+                          st.text(max_size=6))
+
+
+@given(target=TARGET_TOKENS, command=st.sampled_from(["solve-cost", "verify"]),
+       scale=st.sampled_from([None, "1", "10"]), joined=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_target_exits_cleanly(ex1_module_file, target, command, scale,
+                                   joined):
+    # "--target=-x" reaches the parser; "--target -x" is a usage error.
+    target_args = [f"--target={target}"] if joined else ["--target", target]
+    argv = [command, ex1_module_file, *target_args]
+    if scale is not None:
+        argv += ["--scale", scale]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3)

@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdict import (
     GeneratorConfig,
+    InstanceError,
+    NegativeWeight,
     ParseError,
     UpgradeBelowBase,
     format_instance,
     parse_instance,
     random_tree,
 )
+from conftest import NUMBER_TOKENS
 
 
 EX1_TEXT = """\
@@ -99,3 +104,39 @@ def test_fixed_point_scale():
 def test_scale_requires_integral_result():
     with pytest.raises(ParseError):
         parse_instance("2 1\n2 1 1.25 2.5\n", scale=10)
+
+
+@pytest.mark.parametrize("edge, error", [
+    ("2 1 1e4299 1", UpgradeBelowBase), ("2 1 -1e4299 1", NegativeWeight),
+    ("2 1 1 -1e4299", NegativeWeight)])
+def test_weight_past_str_digit_limit_is_instance_error(edge, error):
+    # Scaled, the weight has more digits than Python will print.
+    with pytest.raises(error, match="w of 4301 digits|u of 4301 digits"):
+        parse_instance(f"2 1\n{edge}\n", scale=10)
+
+
+WEIGHTS = st.one_of(st.integers(0, 9).map(str), NUMBER_TOKENS)
+TOKENS = st.one_of(NUMBER_TOKENS, st.text(max_size=5))
+IDS = st.integers(0, 7).map(str)
+
+
+@st.composite
+def instance_lines(draw):
+    """A header and edge lines of the right shape, mostly with small ids so
+    that many reach build_tree, with arbitrary token lines spliced in."""
+    edges = draw(st.lists(st.tuples(IDS, IDS, WEIGHTS, WEIGHTS), max_size=6))
+    lines = [f"{len(edges) + 1} {draw(IDS)}"] + [" ".join(e) for e in edges]
+    noise = draw(st.lists(st.lists(TOKENS, max_size=5).map(" ".join),
+                          max_size=1))
+    for line in noise:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+@given(lines=instance_lines(), scale=st.sampled_from([None, 1, 10]))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_parse_raises_only_instance_error(lines, scale):
+    try:
+        parse_instance("\n".join(lines), scale=scale)
+    except InstanceError:
+        pass
