@@ -7,8 +7,6 @@ smallest budget reaching a target distance. Both are exact; brute-force
 oracles and a seeded instance generator support verification.
 """
 
-from .budget import BudgetQuery, CostResult, solve_cost
-from .chains import ChainTable, chain_g_table
 from .decompose import Chain, Decomposition, decompose
 from .errors import (CycleDetected, DisconnectedInput, DuplicateChild,
                      InstanceError, InterdictError, LeafInSet, NegativeWeight,
@@ -18,9 +16,10 @@ from .generate import SHAPES, GeneratorConfig, random_tree
 from .instances import (format_instance, load_instance, parse_instance,
                         save_instance)
 from .oracle import ORACLE_LIMIT, brute_force_cost, brute_force_max
-from .solver import DpTables, TableSlice, build_tables, solve_max
-from .tree import (RootedTree, Solution, all_upgraded_min_distance,
-                   apply_upgrades, build_tree, evaluate_min_distance)
+from .solver import (BudgetQuery, ChainTable, CostResult, DpTables, TableSlice,
+                     build_tables, chain_g_table, solve_cost, solve_max)
+from .tree import (RootedTree, Solution, all_upgraded_min_distance, build_tree,
+                   evaluate_min_distance)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "LeafInSet", "NegativeWeight", "ORACLE_LIMIT", "ParseError", "RootedTree",
     "SHAPES", "Solution", "TableSlice", "TargetUnreachable",
     "TooLargeForOracle", "TrivialTree", "UpgradeBelowBase",
-    "all_upgraded_min_distance", "apply_upgrades", "brute_force_cost",
+    "all_upgraded_min_distance", "brute_force_cost",
     "brute_force_max", "build_tables", "build_tree", "chain_g_table",
     "decompose", "evaluate_min_distance", "format_instance", "load_instance",
     "parse_instance", "random_tree", "save_instance", "solve_cost",

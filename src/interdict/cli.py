@@ -17,7 +17,6 @@ import json
 import sys
 import time
 
-from .budget import solve_cost
 from .decompose import Chain, decompose
 from .errors import (InstanceError, InterdictError, TargetUnreachable,
                      _decimal)
@@ -25,7 +24,7 @@ from .generate import (DEFAULT_DELTA_MAX, DEFAULT_W_MAX, SHAPES,
                        GeneratorConfig, random_tree)
 from .instances import format_instance, load_instance, scaled_integer
 from .oracle import brute_force_cost, brute_force_max
-from .solver import solve_max
+from .solver import solve_cost, solve_max
 from .tree import RootedTree
 
 EXIT_OK = 0
@@ -97,8 +96,7 @@ def cmd_solve_cost(args) -> int:
     report = {"command": "solve-cost", "instance": args.instance,
               **_digest(tree), "target": target,
               "kstar": result.kstar, "value": result.solution.value,
-              "upgraded": sorted(result.solution.upgraded),
-              "probes": len(result.query.probes)}
+              "upgraded": sorted(result.solution.upgraded)}
     _emit(report, args.format)
     return EXIT_OK
 

@@ -1,4 +1,6 @@
-"""Budgeted dynamic program over the chain decomposition.
+"""Budgeted dynamic program over the chain decomposition: the chain g-rows,
+both merges, the backpointer walk, and :func:`solve_max` and
+:func:`solve_cost`, which read the root's budget-to-value row two ways.
 
 For a junction ``v`` with critical descendants ``h_1 < h_2 < ... < h_p``,
 the q-th *branch* is the chain down to ``h_q`` plus the whole subtree below
@@ -25,9 +27,8 @@ a capped sorted merge of the two rows. Each table's length follows from
 its operands: a merge of rows with ``a`` and ``b`` cells has
 ``min(a + b - 1, limit)`` cells, so a region's row ends at its
 upgradable (non-leaf) node count or at the overall budget, whichever is
-smaller. That keeps the whole solve within O(n * K^2); with K unclamped
-(the minimum-budget search) the region sizes alone bound it by O(n^2),
-the tree-knapsack argument.
+smaller. That keeps the whole solve within O(n * K^2), and within O(n^2)
+with K unclamped, as :func:`solve_cost` runs it.
 
 Where a merge has only one split, none runs and no backpointer is kept:
 
@@ -60,11 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainTable, chain_g_table
 from .decompose import Chain, Decomposition, decompose
-from .errors import InstanceError, _decimal
+from .errors import InstanceError, TargetUnreachable, _decimal
 from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
-                   evaluate_min_distance)
+                   all_upgraded_min_distance, evaluate_min_distance)
 
 _INT64_MAX = np.iinfo(np.int64).max
 _NEG = np.int64(np.iinfo(np.int64).min // 4)
@@ -84,6 +84,41 @@ class TableSlice:
     f1: np.ndarray
     bp0: np.ndarray | None = None
     bp1: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ChainTable:
+    """Dense g-values for one chain under a budget: ``g0[k]`` holds
+    g(0, k); ``g1[i]`` holds g(1, i+1). The upgrade set of a cell is
+    :meth:`Chain.upgrade_set`."""
+
+    g0: np.ndarray
+    g1: np.ndarray
+
+
+def chain_g_table(chain: Chain, budget: int) -> ChainTable:
+    """Both g-rows of a chain with ``beta`` edges, in O(beta).
+
+    ``g(eps, k)`` is the largest total chain length achievable by upgrading
+    exactly ``k`` of the chain's upgradable nodes, where ``eps`` records
+    whether its top junction is one of them. Upgrading the top raises the
+    first edge; upgrading an interior node raises the edge below it. With
+    the tail sorted by gain, the best interior picks are always a prefix,
+    so the rows are two running prefix sums::
+
+        g(0, k) = w_sum + (k largest tail gains)        0 <= k <= min(beta-1, K)
+        g(1, k) = w_sum + head gain + (k-1 largest tail gains)
+                                                        1 <= k <= min(beta, K)
+
+    Only beta-1 tail edges exist, hence the tighter eps=0 bound.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    tail_prefix = np.concatenate(
+        ([0], np.cumsum(np.asarray(chain.tail_deltas, dtype=np.int64))))
+    g0 = chain.w_sum + tail_prefix[: min(chain.beta - 1, budget) + 1]
+    g1 = chain.w_sum + chain.head_delta + tail_prefix[: min(chain.beta, budget)]
+    return ChainTable(g0=g0.astype(np.int64), g1=g1.astype(np.int64))
 
 
 Backpointers = tuple[np.ndarray, np.ndarray]  # a merge's (bp0, bp1)
@@ -177,12 +212,8 @@ def _merge(op, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
 
 def combine_serial(ct: ChainTable, below: np.ndarray,
                    budget: int) -> TableSlice:
-    """Merge a chain with the full-subtree table under its bottom junction.
-
-    ``below`` is the collapsed best-by-budget array of the subtree under the
-    chain's bottom. A chain ending in a leaf runs no merge: its g-rows are
-    the branch row.
-    """
+    """Merge a chain with ``below``, the collapsed best-by-budget row of the
+    subtree under the chain's bottom junction."""
     return _merge(np.add, ct.g0, ct.g1, below, below, budget)
 
 
@@ -223,6 +254,8 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     root-leaf path; trees where that path exceeds the int64 range raise
     :class:`InstanceError`. Each value row lives only until the merge above
     it has read it; backpointers are int32 and ``subtree_eps`` rows int8.
+    A chain ending in a leaf runs no serial merge: its g-rows are the
+    branch row.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -277,15 +310,8 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
             f"internal error: root row has {len(root_best)} cells, "
             f"expected {k_cap + 1}")
 
-    return DpTables(
-        tree=tree,
-        decomposition=dec,
-        budget=k_cap,
-        serial=serial,
-        parallel=parallel,
-        subtree_eps=subtree_eps,
-        root_best=root_best,
-    )
+    return DpTables(tree, dec, k_cap, serial, parallel, subtree_eps,
+                    root_best)
 
 
 def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
@@ -349,3 +375,58 @@ def solve_max(tree: RootedTree, budget: int) -> Solution:
     """
     tables = build_tables(tree, budget)
     return _read_solution(tables, tables.budget)
+
+
+@dataclass(frozen=True)
+class BudgetQuery:
+    """Trace of one minimum-budget search: the target and the final
+    bracket ``bounds``, ``(k* - 1, k*)``, or ``(0, 0)`` when k* = 0."""
+
+    target: int
+    bounds: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class CostResult:
+    """Minimal budget, a witnessing solution of value >= target, and the query."""
+
+    kstar: int
+    solution: Solution
+    query: BudgetQuery
+
+
+def solve_cost(tree: RootedTree, target: int) -> CostResult:
+    """Smallest number of node upgrades whose optimum reaches ``target``.
+
+    One table pass at the full budget (the upgradable count) holds the
+    budgeted optimum for every budget at once: ``root_best[k]`` is the best
+    value with ``k`` upgrades. That profile is non-decreasing, so the
+    smallest sufficient budget k* is its first index reaching the target,
+    and the witness is the backpointer walk started at k*. Cells at
+    ``k <= k*`` read only lower indices and break ties towards the smallest
+    index, so they equal those of a pass capped at k*: the witness is
+    ``solve_max(tree, k*)``.
+
+    Every table is capped by its subtree's upgradable count, so the pass is
+    O(n^2) by the tree-knapsack argument (Johnson & Niemi, Math. Oper. Res.
+    1983), below the paper's O(n^3 log n) bisection.
+
+    Raises :class:`TargetUnreachable` (carrying the ceiling) when even
+    upgrading every non-leaf node falls short.
+    """
+    if target < 0:
+        raise ValueError(f"target {_decimal(target)} is below 0")
+    ceiling = all_upgraded_min_distance(tree)
+    if target > ceiling:
+        raise TargetUnreachable(target, ceiling)
+
+    tables = build_tables(tree, len(tree.non_leaves))
+    profile = tables.root_best
+    if (profile[1:] < profile[:-1]).any() or profile[-1] != ceiling:
+        raise RuntimeError(
+            "internal error: budget profile is not non-decreasing up to the "
+            f"ceiling {ceiling}")
+    kstar = int(profile.searchsorted(target, side="left"))
+    bounds = (0, 0) if kstar == 0 else (kstar - 1, kstar)
+    return CostResult(kstar, _read_solution(tables, kstar),
+                      BudgetQuery(target, bounds))

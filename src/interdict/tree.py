@@ -54,7 +54,6 @@ class RootedTree:
         "children",
         "w",
         "u",
-        "nodes",
         "leaves",
         "non_leaves",
         "bfs_order",
@@ -75,7 +74,6 @@ class RootedTree:
             children[p].append(c)
         self.children = {v: tuple(sorted(cs)) for v, cs in children.items()}
 
-        self.nodes = tuple(sorted(self.children))
         self.leaves = frozenset(v for v, cs in self.children.items() if not cs)
         self.non_leaves = frozenset(self.children) - self.leaves
 
@@ -120,8 +118,8 @@ class Solution:
 class AppliedWeights(Mapping[int, int]):
     """Read-only edge -> length view of ``tree`` with ``upgraded`` applied.
 
-    Building it is O(1); each lookup is O(1). ``dict(view)`` equals
-    :func:`apply_upgrades` of the same arguments.
+    Building it is O(1); each lookup is O(1): an edge takes ``u`` when its
+    parent endpoint is in ``upgraded`` and ``w`` otherwise.
     """
 
     __slots__ = ("_tree", "_upgraded")
@@ -183,11 +181,6 @@ def build_tree(edge_records: Sequence[EdgeRecord], root: int) -> RootedTree:
         cyclic = sorted(set(parent) - set(tree.bfs_order))
         raise CycleDetected(f"nodes {cyclic} form a cycle")
     return tree
-
-
-def apply_upgrades(tree: RootedTree, upgraded: Iterable[int]) -> dict[int, int]:
-    """Weight function after upgrading ``upgraded``: u on their child edges."""
-    return dict(AppliedWeights(tree, frozenset(upgraded)))
 
 
 def _leaf_distances(tree: RootedTree, upgraded: frozenset[int]) -> Iterator[int]:

@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-import interdict.budget
 import interdict.solver
 from interdict import (
     GeneratorConfig,
@@ -32,8 +31,8 @@ from interdict import (
     solve_cost,
     solve_max,
 )
-from interdict.chains import chain_g_table
-from interdict.solver import TableSlice, combine_parallel, combine_serial
+from interdict.solver import (TableSlice, chain_g_table, combine_parallel,
+                              combine_serial)
 from interdict.cli import main as cli_main
 
 # chain bottom -> {(eps, k): value}: full expected chain tables of the
@@ -218,16 +217,20 @@ def test_criterion_5_scaling_shape(monkeypatch):
 
 
 def _time_solve_max(tree, budget):
-    """Wall time of one solve with the garbage collector paused, as timeit
-    does: a collection of the objects earlier tests left behind takes longer
-    than a small solve and would be charged to it."""
+    """Best wall time of three solves with the garbage collector
+    paused, as timeit advises: a collection of the objects earlier tests
+    left behind, or a short stall of the host, takes longer than a small
+    solve and would be charged to it; the minimum filters both out."""
+    best = math.inf
     gc.disable()
     try:
-        start = time.perf_counter()
-        solve_max(tree, budget)
-        return time.perf_counter() - start
+        for _ in range(3):
+            start = time.perf_counter()
+            solve_max(tree, budget)
+            best = min(best, time.perf_counter() - start)
     finally:
         gc.enable()
+    return best
 
 
 def _solve_cost_passes(monkeypatch, n):
@@ -244,9 +247,8 @@ def _solve_cost_passes(monkeypatch, n):
     count_tables = counting("build_tables", interdict.solver.build_tables)
     count_max = counting("solve_max", interdict.solver.solve_max)
     with monkeypatch.context() as m:
-        for module in (interdict.solver, interdict.budget):
-            m.setattr(module, "build_tables", count_tables, raising=False)
-            m.setattr(module, "solve_max", count_max, raising=False)
+        m.setattr(interdict.solver, "build_tables", count_tables)
+        m.setattr(interdict.solver, "solve_max", count_max)
         tree = random_tree(GeneratorConfig(n=n, seed=20260810 + n))
         target = (evaluate_min_distance(tree, ())
                   + all_upgraded_min_distance(tree)) // 2

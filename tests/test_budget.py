@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import interdict.budget
+import interdict.solver
 from interdict import (
     TargetUnreachable,
     all_upgraded_min_distance,
@@ -71,7 +71,7 @@ class TestProfile:
             best[1], best[2] = best[2], best[1] - 1
             return tables
 
-        monkeypatch.setattr(interdict.budget, "build_tables", corrupted)
+        monkeypatch.setattr(interdict.solver, "build_tables", corrupted)
         with pytest.raises(RuntimeError, match="non-decreasing"):
             solve_cost(ex1, 13)
 
@@ -104,22 +104,3 @@ class TestMinimality:
             for k in range(cap + 1):
                 value = solve_max(tree, k).value
                 assert solve_cost(tree, value).kstar <= k
-
-    def test_probe_count_bound(self, battery):
-        rng = random.Random(7)
-        for tree in rng.sample(battery, 50):
-            cap = len(tree.non_leaves)
-            ceiling = all_upgraded_min_distance(tree)
-            result = solve_cost(tree, ceiling)
-            assert result.query.probes == ((cap, ceiling),)
-
-    def test_probes_monotone_consistent(self, battery):
-        rng = random.Random(8)
-        for tree in rng.sample(battery, 30):
-            ceiling = all_upgraded_min_distance(tree)
-            result = solve_cost(tree, ceiling)
-            by_budget = sorted(result.query.probes)
-            for (k1, v1), (k2, v2) in zip(by_budget, by_budget[1:]):
-                assert k1 < k2 and v1 <= v2
-            for k, v in by_budget:
-                assert solve_max(tree, k).value == v

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,8 +99,7 @@ class TestSolveCost:
         assert code == 0
         doc = json.loads(out)
         assert set(doc) == {"command", "instance", "n", "leaves", "non_leaves",
-                            "target", "kstar", "value", "upgraded", "probes"}
-        assert doc["probes"] == 1
+                            "target", "kstar", "value", "upgraded"}
         assert (doc["kstar"], doc["value"], doc["upgraded"]) == \
             (kstar, value, upgraded)
 
@@ -277,6 +278,16 @@ def test_optimized_interpreter_keeps_checks(ex1_file, tmp_path):
     proc = run_module("solve-max", str(wrap), "--budget", "1", optimize=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements, so no runtime check may be one.
+    package = Path(interdict.cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_length_past_int64_is_input_error(tmp_path):

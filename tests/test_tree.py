@@ -13,12 +13,12 @@ from interdict import (
     TrivialTree,
     UpgradeBelowBase,
     all_upgraded_min_distance,
-    apply_upgrades,
     build_tree,
     decompose,
     evaluate_min_distance,
     random_tree,
 )
+from interdict.tree import AppliedWeights
 from conftest import EX1_RECORDS
 
 
@@ -85,7 +85,7 @@ class TestBuildTree:
         assert ex1.bfs_order == (1, 2, 5, 7, 3, 4, 6, 8, 9, 10)
         for seed in range(20):
             tree = random_tree(GeneratorConfig(n=30, seed=seed, shape="binary-ish"))
-            assert sorted(tree.bfs_order) == list(tree.nodes)
+            assert sorted(tree.bfs_order) == sorted(tree.children)
             seen = set()
             for v in tree.bfs_order:
                 assert v == tree.root or tree.parent[v] in seen
@@ -111,7 +111,7 @@ class TestEvaluate:
             evaluate_min_distance(ex1, {42})
 
     def test_applied_weights(self, ex1):
-        applied = apply_upgrades(ex1, {1})
+        applied = AppliedWeights(ex1, frozenset({1}))
         assert applied[2] == 10 and applied[5] == 10 and applied[7] == 10
         assert applied[3] == 7 and applied[8] == 3
 
