@@ -13,8 +13,7 @@ from .errors import (CycleDetected, DisconnectedInput, DuplicateChild,
                      ParseError, TargetUnreachable, TooLargeForOracle,
                      TrivialTree, UpgradeBelowBase)
 from .generate import SHAPES, GeneratorConfig, random_tree
-from .instances import (format_instance, load_instance, parse_instance,
-                        save_instance)
+from .instances import format_instance, load_instance, parse_instance
 from .oracle import ORACLE_LIMIT, brute_force_cost, brute_force_max
 from .solver import (BudgetQuery, ChainTable, CostResult, DpTables, TableSlice,
                      build_tables, chain_g_table, solve_cost, solve_max)
@@ -33,6 +32,5 @@ __all__ = [
     "all_upgraded_min_distance", "brute_force_cost",
     "brute_force_max", "build_tables", "build_tree", "chain_g_table",
     "decompose", "evaluate_min_distance", "format_instance", "load_instance",
-    "parse_instance", "random_tree", "save_instance", "solve_cost",
-    "solve_max",
+    "parse_instance", "random_tree", "solve_cost", "solve_max",
 ]

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .decompose import Chain, decompose
+from .decompose import Chain, Decomposition, decompose
 from .errors import (InstanceError, InterdictError, TargetUnreachable,
                      _decimal)
 from .generate import (DEFAULT_DELTA_MAX, DEFAULT_W_MAX, SHAPES,
@@ -156,14 +156,27 @@ def _chain_report(c: Chain) -> dict:
             "tail_owners": list(c.tail_owners)}
 
 
+def _layers(tree: RootedTree, dec: Decomposition) -> dict[int, int]:
+    """The paper's layer of every node: the number of junctions on its root
+    path, counting the node itself. The root is layer 1; each non-root
+    junction (undirected degree > 2) adds one."""
+    layer = {tree.root: 1}
+    for c in tree.bfs_order[1:]:
+        layer[c] = layer[tree.parent[c]] + (c in dec.cd)
+    return layer
+
+
 def cmd_inspect(args) -> int:
     tree = _load(args)
     dec = decompose(tree)
+    layer = _layers(tree, dec)
     chains = [_chain_report(c) for _, c in sorted(dec.chains.items())]
+    # The paper's junction order, deepest layer first (ties: descending
+    # id); the solver only needs junctions below before those above.
     report = {"command": "inspect", "instance": args.instance, **_digest(tree),
-              "branching": sorted(dec.branching),
-              "order": list(dec.order),
-              "layers": {str(v): dec.layer[v] for v in sorted(dec.layer)},
+              "branching": sorted(v for v in dec.cd if v != tree.root),
+              "order": sorted(dec.cd, key=lambda v: (-layer[v], -v)),
+              "layers": {str(v): layer[v] for v in sorted(layer)},
               "chains": chains}
     if args.format == "json":
         _emit(report, "json")

@@ -4,13 +4,13 @@ A *junction* is the root or any non-root node of undirected degree > 2.
 Walking up from a branching node or a leaf, the first junction reached is
 its *critical ancestor*; the path between them is a *chain* whose interior
 nodes all have degree 2. Chains partition the edge set, and the solver
-merges per-chain tables junction by junction, from the deepest junction
-layer up to the root. A node's *layer* counts the junctions on its root
-path (the root is layer 1; only degree>2 nodes add one).
+merges per-chain tables junction by junction. A junction's table depends
+only on the subtree below it, so any order that puts every junction after
+the junctions below it gives the same tables and upgrade sets.
 
-:func:`decompose` derives all of this with one pass over the tree's BFS
-order (layers and chain bottoms) and one upward walk per chain, and checks
-that the chains cover every edge and every upgradable node exactly once.
+:func:`decompose` finds the chain bottoms with one pass over the tree's BFS
+order and walks up once per chain, and checks that the chains cover every
+edge and every upgradable node exactly once.
 
 Within a chain, upgrades of interior (degree-2) nodes are exchangeable:
 an optimal solution may always spend its interior upgrades on the largest
@@ -32,15 +32,14 @@ from .tree import RootedTree
 class Chain:
     """A junction-to-junction (or junction-to-leaf) path with sorted tail.
 
-    ``edges`` lists child-keyed edge ids from ``top`` to ``bottom`` after
-    the tail permutation; ``tail_deltas``/``tail_owners`` align with
-    positions 2..beta. ``upgrade_set`` materializes which physical nodes
-    realize ``k`` upgrades on the chain with the top's flag ``eps``.
+    ``tail_deltas``/``tail_owners`` align with positions 2..beta; the edge
+    in a tail slot is the one child edge of its owner. ``upgrade_set``
+    materializes which physical nodes realize ``k`` upgrades on the chain
+    with the top's flag ``eps``.
     """
 
     top: int
     bottom: int
-    edges: tuple[int, ...]
     beta: int
     w_sum: int
     head_delta: int
@@ -63,56 +62,42 @@ class Chain:
 class Decomposition:
     """All structural data the solver consumes, derived once per tree."""
 
-    layer: dict[int, int]
-    branching: frozenset[int]
     cd: dict[int, tuple[int, ...]]
     chains: dict[int, Chain]
     order: tuple[int, ...]
 
 
 def decompose(tree: RootedTree) -> Decomposition:
-    """Layers, junctions, chains and the junction processing order.
+    """Junctions, chains and the junction processing order.
 
-    Critical descendants are listed in ascending id; junctions are ordered
-    deepest layer first (ties: descending id), so every junction below is
-    ready when its ancestor is processed. Raises ``RuntimeError`` if the
-    chains do not partition the edges and the upgradable nodes.
+    Critical descendants are listed in ascending id. ``order`` lists the
+    junctions in reversed BFS order, so every junction comes after the
+    junctions below it. Raises ``RuntimeError`` if the chains do not
+    partition the edges and the upgradable nodes.
     """
-    layer = {tree.root: 1}
-    bottoms = []
-    for c in tree.bfs_order[1:]:
-        degree = tree.degree(c)
-        layer[c] = layer[tree.parent[c]] + (degree > 2)
-        if degree != 2:
-            bottoms.append(c)
-    bottoms.sort()
-    branching = frozenset(v for v in bottoms if tree.degree(v) > 2)
-    cd_lists: dict[int, list[int]] = {v: [] for v in branching | {tree.root}}
+    bottoms = sorted(c for c in tree.bfs_order[1:] if tree.degree(c) != 2)
+    cd_lists: dict[int, list[int]] = {tree.root: []}
+    cd_lists.update((v, []) for v in bottoms if tree.degree(v) > 2)
     chains: dict[int, Chain] = {}
     for bottom in bottoms:
-        path = [bottom]
+        path = [bottom]  # child-keyed edges, bottom to top
         cur = tree.parent[bottom]
         while cur not in cd_lists:
             path.append(cur)
             cur = tree.parent[cur]
         cd_lists[cur].append(bottom)
-        path.reverse()  # child-keyed edges, top to bottom
-        head = path[0]
         # Tail slots sort by gain descending, ties by ascending owner id; the
         # owner of a tail edge is its physical parent, always degree 2.
-        tail = sorted(
-            ((tree.delta(e), tree.parent[e], e) for e in path[1:]),
-            key=lambda t: (-t[0], t[1]),
-        )
+        tail = sorted(((tree.delta(e), tree.parent[e]) for e in path[:-1]),
+                      key=lambda t: (-t[0], t[1]))
         chains[bottom] = Chain(
             top=cur,
             bottom=bottom,
-            edges=(head, *(e for _, _, e in tail)),
             beta=len(path),
             w_sum=sum(tree.w[e] for e in path),
-            head_delta=tree.delta(head),
-            tail_deltas=tuple(d for d, _, _ in tail),
-            tail_owners=tuple(o for _, o, _ in tail),
+            head_delta=tree.delta(path[-1]),
+            tail_deltas=tuple(d for d, _ in tail),
+            tail_owners=tuple(o for _, o in tail),
         )
     cd = {v: tuple(members) for v, members in cd_lists.items()}
 
@@ -125,6 +110,5 @@ def decompose(tree: RootedTree) -> Decomposition:
         raise RuntimeError(
             f"internal error: {len(betas)} chains of {edges} edges under "
             f"{len(cd)} junctions do not partition the tree")
-    order = tuple(sorted(cd, key=lambda v: (-layer[v], -v)))
-    return Decomposition(layer=layer, branching=branching, cd=cd,
-                         chains=chains, order=order)
+    order = tuple(v for v in reversed(tree.bfs_order) if v in cd)
+    return Decomposition(cd=cd, chains=chains, order=order)

@@ -132,7 +132,3 @@ def format_instance(tree: RootedTree) -> str:
 
 def load_instance(path: str | Path, scale: int | None = None) -> RootedTree:
     return parse_instance(Path(path).read_text(), scale=scale)
-
-
-def save_instance(tree: RootedTree, path: str | Path) -> None:
-    Path(path).write_text(format_instance(tree))

@@ -110,15 +110,22 @@ def chain_g_table(chain: Chain, budget: int) -> ChainTable:
         g(1, k) = w_sum + head gain + (k-1 largest tail gains)
                                                         1 <= k <= min(beta, K)
 
-    Only beta-1 tail edges exist, hence the tighter eps=0 bound.
+    Only beta-1 tail edges exist, hence the tighter eps=0 bound. Every cell
+    is at most the all-upgraded chain length; a chain where that exceeds
+    the int64 range raises :class:`InstanceError`.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    longest = chain.w_sum + chain.head_delta + sum(chain.tail_deltas)
+    if longest > _INT64_MAX:
+        raise InstanceError(
+            f"chain to {chain.bottom}: all-upgraded length "
+            f"{_decimal(longest)} is above the int64 table limit {_INT64_MAX}")
     tail_prefix = np.concatenate(
         ([0], np.cumsum(np.asarray(chain.tail_deltas, dtype=np.int64))))
     g0 = chain.w_sum + tail_prefix[: min(chain.beta - 1, budget) + 1]
     g1 = chain.w_sum + chain.head_delta + tail_prefix[: min(chain.beta, budget)]
-    return ChainTable(g0=g0.astype(np.int64), g1=g1.astype(np.int64))
+    return ChainTable(g0=g0, g1=g1)
 
 
 Backpointers = tuple[np.ndarray, np.ndarray]  # a merge's (bp0, bp1)

@@ -43,8 +43,9 @@ class RootedTree:
     by node id with sorted tuples. ``bfs_order`` lists the nodes
     breadth-first from the root, children in ascending id.
 
-    Do not call the constructor directly; it assumes pre-validated input.
-    :func:`build_tree` validates and builds.
+    Do not call the constructor directly; it assumes pre-validated input
+    and keeps the dicts it is given. :func:`build_tree` validates and
+    builds.
     """
 
     __slots__ = (
@@ -59,12 +60,12 @@ class RootedTree:
         "bfs_order",
     )
 
-    def __init__(self, parent: Mapping[int, int], w: Mapping[int, int],
-                 u: Mapping[int, int], root: int):
+    def __init__(self, parent: dict[int, int], w: dict[int, int],
+                 u: dict[int, int], root: int):
         self.root = root
-        self.parent = dict(parent)
-        self.w = dict(w)
-        self.u = dict(u)
+        self.parent = parent
+        self.w = w
+        self.u = u
         self.node_count = len(self.parent) + 1
 
         children: dict[int, list[int]] = {root: []}

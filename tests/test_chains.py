@@ -1,10 +1,12 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdict import (
+    InstanceError,
     build_tree,
     chain_g_table,
     decompose,
@@ -101,6 +103,22 @@ class TestDomain:
         _, chain = path_chain([(1, 5), (1, 4), (1, 3), (1, 2)])
         table = chain_g_table(chain, budget=2)
         assert len(table.g0) == 3 and len(table.g1) == 2
+
+    @pytest.mark.parametrize("weights", [[(5, 7)], [(1, 5), (1, 4), (1, 3)]])
+    def test_rows_are_int64(self, weights):
+        # Without a tail and with one.
+        _, chain = path_chain(weights)
+        table = chain_g_table(chain, budget=3)
+        assert table.g0.dtype == table.g1.dtype == np.int64
+
+    def test_length_past_int64_raises(self):
+        # The last g(0, k) cell is 2**63, one past the int64 range.
+        x = 2**62
+        _, chain = path_chain([(0, 1), (0, x), (0, x)])
+        with pytest.raises(InstanceError, match=(
+                r"^chain to 4: all-upgraded length 9223372036854775809 is "
+                r"above the int64 table limit 9223372036854775807$")):
+            chain_g_table(chain, budget=5)
 
 
 class TestProperties:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import interdict.cli
 from interdict.cli import main
-from interdict import format_instance, build_tree
+from interdict import build_tree, decompose, format_instance, load_instance
 from conftest import EX1_RECORDS, NUMBER_TOKENS
 
 EX1_TEXT = format_instance(build_tree(EX1_RECORDS, root=1))
@@ -212,6 +212,24 @@ class TestInspect:
         code, out, _ = run_cli(capsys, "inspect", ex1_file, "--format", "json")
         assert code == 0
         assert json.loads(out) == {**EX1_INSPECT, "instance": ex1_file}
+
+    def test_paper_layer_order(self, capsys, tmp_path):
+        # The solver runs junctions in reversed BFS order, (3, 6, 1) here;
+        # inspect prints the paper's order: deepest layer first, ties by
+        # descending id. On the golden instance the two orders agree.
+        path = str(tmp_path / "b29.txt")
+        run_cli(capsys, "gen", "--nodes", "9", "--seed", "29",
+                "--shape", "binary-ish", "-o", path)
+        assert decompose(load_instance(path)).order == (3, 6, 1)
+        code, out, _ = run_cli(capsys, "inspect", path)
+        assert code == 0
+        assert "branching=[3,6]\norder=[6,3,1]\n" in out
+        code, out, _ = run_cli(capsys, "inspect", path, "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["order"] == [6, 3, 1] and doc["branching"] == [3, 6]
+        assert doc["layers"] == {"1": 1, "2": 1,
+                                 **{str(v): 2 for v in range(3, 10)}}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_length_past_str_digit_limit(self, capsys, tmp_path, fmt):

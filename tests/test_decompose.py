@@ -6,12 +6,26 @@ from interdict import (
     decompose,
     random_tree,
 )
+from interdict.cli import _layers
 from conftest import make_path, make_star, small_battery
+
+
+def layers(tree):
+    return _layers(tree, decompose(tree))
+
+
+def chain_edges(tree, c):
+    """A chain's child-keyed edges, walked up from its bottom: ``beta``
+    edges, the last one hanging off the top if ``beta`` is right."""
+    edges = [c.bottom]
+    for _ in range(c.beta - 1):
+        edges.append(tree.parent[edges[-1]])
+    return edges
 
 
 class TestLayers:
     def test_ex1_layers(self, ex1):
-        layer = decompose(ex1).layer
+        layer = layers(ex1)
         assert layer[1] == 1 and layer[5] == 1
         assert layer[2] == 2 and layer[7] == 2
         assert layer[3] == 2 and layer[9] == 2 and layer[10] == 2
@@ -21,20 +35,21 @@ class TestLayers:
         # An edge sits in its upper endpoint's layer; a chain's edges share
         # the layer of the chain's top.
         dec = decompose(ex1)
-        assert dec.layer[ex1.parent[2]] == 1  # edge (v1, v2)
-        assert dec.layer[ex1.parent[3]] == 2  # edge (v2, v3)
-        assert dec.layer[ex1.parent[6]] == 1
+        layer = _layers(ex1, dec)
+        assert layer[ex1.parent[2]] == 1  # edge (v1, v2)
+        assert layer[ex1.parent[3]] == 2  # edge (v2, v3)
+        assert layer[ex1.parent[6]] == 1
         for c in dec.chains.values():
-            assert {dec.layer[ex1.parent[e]] for e in c.edges} == \
-                {dec.layer[c.top]}
+            assert {layer[ex1.parent[e]] for e in chain_edges(ex1, c)} == \
+                {layer[c.top]}
 
     def test_path_all_layer_one(self):
         tree = make_path(9, seed=1)
-        assert set(decompose(tree).layer.values()) == {1}
+        assert set(layers(tree).values()) == {1}
 
     def test_monotone_along_paths(self):
         for tree in (random_tree(GeneratorConfig(n=30, seed=s)) for s in range(5)):
-            layer = decompose(tree).layer
+            layer = layers(tree)
             for v, p in tree.parent.items():
                 assert layer[p] <= layer[v] <= layer[p] + 1
 
@@ -42,7 +57,7 @@ class TestLayers:
 class TestCriticalStructure:
     def test_ex1_cd_ca(self, ex1):
         dec = decompose(ex1)
-        assert dec.branching == {2, 7}
+        assert set(dec.cd) == {1, 2, 7}
         assert dec.cd[1] == (2, 6, 7)
         assert dec.cd[2] == (3, 4)
         assert dec.cd[7] == (8, 10)
@@ -52,7 +67,7 @@ class TestCriticalStructure:
     def test_cd_size_matches_degree(self, battery):
         for tree in battery[:150]:
             dec = decompose(tree)
-            for v in dec.branching | {tree.root}:
+            for v in dec.cd:
                 expected = tree.degree(v) if v == tree.root else tree.degree(v) - 1
                 assert len(dec.cd[v]) == expected
                 assert all(dec.chains[h].top == v for h in dec.cd[v])
@@ -81,7 +96,10 @@ class TestChains:
         assert c.head_delta == 1
         assert c.tail_deltas == (9, 5, 3)
         assert c.tail_owners == (3, 4, 2)
-        assert c.edges == (2, 4, 5, 3)
+        # Slot order: the head edge, then the one child edge of each owner.
+        head = chain_edges(tree, c)[-1]
+        assert (head, *(tree.children[o][0] for o in c.tail_owners)) == \
+            (2, 4, 5, 3)
 
     def test_tail_tie_breaks_ascending_owner(self):
         records = [(2, 1, 0, 5), (3, 2, 0, 5), (4, 3, 0, 5)]
@@ -105,12 +123,15 @@ class TestChains:
             dec = decompose(tree)
             all_edges = []
             for c in dec.chains.values():
-                all_edges.extend(c.edges)
-                assert c.beta == len(c.edges) >= 1
-                assert tree.parent[c.edges[0]] == c.top
+                edges = chain_edges(tree, c)
+                all_edges.extend(edges)
+                assert c.beta >= 1
+                assert tree.parent[edges[-1]] == c.top
                 for owner in c.tail_owners:
                     assert tree.degree(owner) == 2
-                assert c.w_sum == sum(tree.w[e] for e in c.edges)
+                assert sorted(c.tail_owners) == \
+                    sorted(tree.parent[e] for e in edges[:-1])
+                assert c.w_sum == sum(tree.w[e] for e in edges)
             assert sorted(all_edges) == sorted(tree.parent)  # exact partition
             assert sum(c.beta for c in dec.chains.values()) == tree.node_count - 1
 
@@ -124,7 +145,7 @@ class TestProcessingOrder:
 
     def test_path(self):
         dec = decompose(make_path(7, seed=3))
-        assert dec.branching == frozenset()
+        assert list(dec.cd) == [1]
         assert dec.order == (1,)
 
     def test_descendants_processed_first(self, battery):

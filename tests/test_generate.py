@@ -72,5 +72,5 @@ class TestShapes:
     def test_caterpillar_has_spine_and_legs(self):
         tree = random_tree(GeneratorConfig(n=30, seed=6, shape="caterpillar"))
         dec = decompose(tree)
-        assert dec.branching  # legs create junctions
+        assert len(dec.cd) > 1  # legs create junctions below the root
         assert any(c.beta == 1 for c in dec.chains.values())

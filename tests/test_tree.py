@@ -206,6 +206,6 @@ class TestDeepTrees:
             tracemalloc.stop()
         assert peak < 160 * 2**20
         assert tree.node_count == n and len(tree.bfs_order) == n
-        assert len(dec.layer) == n
+        assert sum(c.beta for c in dec.chains.values()) == n - 1
         assert base == _top_down_min(records, n, use_u=False)
         assert ceiling == _top_down_min(records, n, use_u=True)
