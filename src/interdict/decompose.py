@@ -24,18 +24,19 @@ upgraded by upgrading the junction itself, which all sibling chains share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tree import RootedTree
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """A junction-to-junction (or junction-to-leaf) path with sorted tail.
 
     ``tail_deltas``/``tail_owners`` align with positions 2..beta; the edge
     in a tail slot is the one child edge of its owner. ``upgrade_set``
     materializes which physical nodes realize ``k`` upgrades on the chain
-    with the top's flag ``eps``.
+    with the top's flag ``eps``. A chain is an immutable tuple of its
+    fields, in this order.
     """
 
     top: int
@@ -72,33 +73,40 @@ def decompose(tree: RootedTree) -> Decomposition:
 
     Critical descendants are listed in ascending id. ``order`` lists the
     junctions in reversed BFS order, so every junction comes after the
-    junctions below it. Raises ``RuntimeError`` if the chains do not
-    partition the edges and the upgradable nodes.
+    junctions below it. A chain whose bottom hangs directly off a junction
+    takes a fast path: one edge, no tail, no walk and no sort. Raises
+    ``RuntimeError`` if the chains do not partition the edges and the
+    upgradable nodes.
     """
-    bottoms = sorted(c for c in tree.bfs_order[1:] if tree.degree(c) != 2)
+    children, parent, w, u = tree.children, tree.parent, tree.w, tree.u
+    # A non-root node is a chain bottom unless it has exactly one child
+    # (degree 2), and a junction if it has children at all.
+    bottoms = sorted(c for c in tree.bfs_order[1:] if len(children[c]) != 1)
     cd_lists: dict[int, list[int]] = {tree.root: []}
-    cd_lists.update((v, []) for v in bottoms if tree.degree(v) > 2)
+    cd_lists.update((v, []) for v in bottoms if children[v])
     chains: dict[int, Chain] = {}
     for bottom in bottoms:
+        top = parent[bottom]
+        if top in cd_lists:
+            cd_lists[top].append(bottom)
+            base = w[bottom]
+            chains[bottom] = Chain(top, bottom, 1, base, u[bottom] - base,
+                                   (), ())
+            continue
         path = [bottom]  # child-keyed edges, bottom to top
-        cur = tree.parent[bottom]
-        while cur not in cd_lists:
-            path.append(cur)
-            cur = tree.parent[cur]
-        cd_lists[cur].append(bottom)
-        # Tail slots sort by gain descending, ties by ascending owner id; the
-        # owner of a tail edge is its physical parent, always degree 2.
-        tail = sorted(((tree.delta(e), tree.parent[e]) for e in path[:-1]),
-                      key=lambda t: (-t[0], t[1]))
+        while top not in cd_lists:
+            path.append(top)
+            top = parent[top]
+        cd_lists[top].append(bottom)
+        # Tail slots sort by gain descending (w - u ascending), ties by
+        # ascending owner id; the owner of a tail edge is its physical
+        # parent, always degree 2.
+        tail = sorted((w[e] - u[e], parent[e]) for e in path[:-1])
+        head = path[-1]
         chains[bottom] = Chain(
-            top=cur,
-            bottom=bottom,
-            beta=len(path),
-            w_sum=sum(tree.w[e] for e in path),
-            head_delta=tree.delta(path[-1]),
-            tail_deltas=tuple(d for d, _ in tail),
-            tail_owners=tuple(o for _, o in tail),
-        )
+            top, bottom, len(path), sum(w[e] for e in path),
+            u[head] - w[head], tuple(-d for d, _ in tail),
+            tuple(o for _, o in tail))
     cd = {v: tuple(members) for v, members in cd_lists.items()}
 
     # Each chain owns its edges and its interior (upgradable) nodes; the

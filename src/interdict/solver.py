@@ -37,9 +37,11 @@ Where a merge has only one split, none runs and no backpointer is kept:
 * a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
   ``[u]`` and takes ``k1 = eps``: as the first branch these rows are the
   prefix, and after it the parallel merge reduces to capping the prefix,
-  ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. The caps are applied in
-  critical-descendant order, so every later merge sees the rows and ties it
-  would see had the merge run, and no chain table is built for the edge;
+  ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. A run of consecutive leaf
+  edges caps the prefix once, at its smallest ``w`` and ``u``, before the
+  next merge or at the end of the junction; ``min`` is associative, so
+  every later merge sees the rows and ties it would see had each merge
+  run, and no chain table is built for the edge;
 * a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
   branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
   no chain table and no serial merge;
@@ -237,21 +239,34 @@ def combine_parallel(branch: TableSlice, prefix: TableSlice,
 
 def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
     """Best over eps per budget; ties keep eps=0."""
-    kmax = max(len(sl.f0) - 1, len(sl.f1))
-    best = np.full(kmax + 1, _NEG, dtype=np.int64)
-    eps = np.zeros(kmax + 1, dtype=np.int8)
-    best[: len(sl.f0)] = sl.f0
-    if sl.f1.size:
-        view = best[1: len(sl.f1) + 1]
-        mask = sl.f1 > view
-        view[mask] = sl.f1[mask]
-        eps[1: len(sl.f1) + 1][mask] = 1
+    f0, f1 = sl.f0, sl.f1
+    # f1[i] is the cell k = i + 1: past f0's last cell only eps=1 exists,
+    # and over the overlap k = 1..m the strict comparison picks eps.
+    m = min(len(f0) - 1, len(f1))
+    best = np.concatenate((f0, f1[len(f0) - 1:]))
+    eps = np.zeros(best.size, dtype=np.int8)
+    eps[len(f0):] = 1
+    overlap = best[1:m + 1]
+    eps[1:m + 1] = f1[:m] > overlap
+    np.maximum(overlap, f1[:m], out=overlap)
     return best, eps
 
 
 def _is_leaf_edge(tree: RootedTree, chain: Chain) -> bool:
     """A one-edge chain down to a leaf, whose split is always forced."""
     return chain.beta == 1 and tree.is_leaf(chain.bottom)
+
+
+def _cap(prefix: TableSlice | None, cap: tuple[int, int],
+         budget: int) -> TableSlice:
+    """Apply a run of leaf edges with smallest lengths ``cap = (w, u)``:
+    ``min(f0, w)`` and ``min(f1, u)``, or the rows ``[w]`` and ``[u]``
+    (the latter at a positive budget) when the run comes first."""
+    w, u = cap
+    if prefix is None:
+        return TableSlice(np.array([w], dtype=np.int64),
+                          np.array([u], dtype=np.int64)[:budget])
+    return TableSlice(np.minimum(prefix.f0, w), np.minimum(prefix.f1, u))
 
 
 def build_tables(tree: RootedTree, budget: int) -> DpTables:
@@ -280,19 +295,19 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     subtree_eps: dict[int, np.ndarray] = {}
 
     for v in dec.order:
+        prefix = None
+        cap = None  # smallest (w, u) of the leaf edges not yet applied
         for q, h in enumerate(dec.cd[v], start=1):
             chain = dec.chains[h]
             if _is_leaf_edge(tree, chain):
-                # Its row is [w], and [u] when the budget allows. Its only
-                # split is k1 = eps, so after the first branch the parallel
-                # merge just caps the prefix.
-                if q > 1:
-                    prefix = TableSlice(np.minimum(prefix.f0, tree.w[h]),
-                                        np.minimum(prefix.f1, tree.u[h]))
-                    continue
-                sl = TableSlice(np.array([tree.w[h]], dtype=np.int64),
-                                np.array([tree.u[h]], dtype=np.int64)[:k_cap])
-            elif chain.beta == 1:
+                # Its rows are [w] and [u] and its only split is k1 = eps,
+                # so its parallel merge just caps the prefix. A run of leaf
+                # edges caps it once, before the next merge reads it.
+                w, u = tree.w[h], tree.u[h]
+                cap = (w, u) if cap is None else (min(cap[0], w),
+                                                  min(cap[1], u))
+                continue
+            if chain.beta == 1:
                 # One edge into a junction: its rows are [w] and [u], so its
                 # only split is k_chain = eps and the serial merge is a shift.
                 below = subtree_best.pop(h)
@@ -305,11 +320,15 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                 else:
                     sl = combine_serial(ct, subtree_best.pop(h), k_cap)
                     serial[(v, q)] = (sl.bp0, sl.bp1)
-            if q == 1:
+            if cap is not None:
+                prefix, cap = _cap(prefix, cap, k_cap), None
+            if prefix is None:
                 prefix = sl
             else:
                 prefix = combine_parallel(sl, prefix, k_cap)
                 parallel[(v, q)] = (prefix.bp0, prefix.bp1)
+        if cap is not None:
+            prefix = _cap(prefix, cap, k_cap)
         subtree_best[v], subtree_eps[v] = _collapse(prefix)
     root_best = subtree_best.pop(tree.root)
     if len(root_best) != k_cap + 1:

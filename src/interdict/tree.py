@@ -69,14 +69,14 @@ class RootedTree:
         self.node_count = len(self.parent) + 1
 
         children: dict[int, list[int]] = {root: []}
-        for c in self.parent:
-            children.setdefault(c, [])
-        for c, p in self.parent.items():
-            children[p].append(c)
-        self.children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+        children.update((c, []) for c in parent)
+        for c in sorted(parent):  # one sort leaves every child list sorted
+            children[parent[c]].append(c)
+        self.children = {v: tuple(cs) for v, cs in children.items()}
 
-        self.leaves = frozenset(v for v, cs in self.children.items() if not cs)
-        self.non_leaves = frozenset(self.children) - self.leaves
+        # build_tree has rejected parents outside the tree.
+        self.non_leaves = frozenset(parent.values())
+        self.leaves = frozenset(self.children) - self.non_leaves
 
         # Nodes on a cycle are never reached; build_tree rejects those trees.
         order = [root]

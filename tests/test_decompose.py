@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from interdict import (
+    SHAPES,
     GeneratorConfig,
     build_tree,
     decompose,
@@ -156,3 +159,71 @@ class TestProcessingOrder:
                 for h in dec.cd[v]:
                     if h not in tree.leaves:
                         assert pos[h] < pos[v]
+
+
+CHAIN_FIELDS = ("top", "bottom", "beta", "w_sum", "head_delta", "tail_deltas",
+                "tail_owners")
+
+
+def reference_decomposition(tree):
+    """``cd``, ``order`` and each chain's fields by a direct walk up from
+    every non-root node that is not of degree 2 to the first junction."""
+    junctions = {tree.root} | {v for v in tree.parent if tree.degree(v) > 2}
+    cd = {v: [] for v in junctions}
+    chains = {}
+    for bottom in sorted(tree.parent):
+        if tree.degree(bottom) == 2:
+            continue
+        path = [bottom]
+        while tree.parent[path[-1]] not in junctions:
+            path.append(tree.parent[path[-1]])
+        top = tree.parent[path[-1]]
+        cd[top].append(bottom)
+        tail = sorted(((tree.delta(e), tree.parent[e]) for e in path[:-1]),
+                      key=lambda t: (-t[0], t[1]))
+        chains[bottom] = (top, bottom, len(path),
+                          sum(tree.w[e] for e in path), tree.delta(path[-1]),
+                          tuple(d for d, _ in tail), tuple(o for _, o in tail))
+    order = tuple(v for v in reversed(tree.bfs_order) if v in junctions)
+    return {v: tuple(hs) for v, hs in cd.items()}, chains, order
+
+
+def broom(handle, fan, seed):
+    """A path of ``handle`` edges from the root into ``fan`` leaves."""
+    rng = random.Random(seed)
+    records = []
+    for c in range(2, handle + fan + 2):
+        w = rng.randint(0, 2)
+        records.append((c, min(c - 1, handle + 1), w, w + rng.randint(0, 2)))
+    return build_tree(records, root=1)
+
+
+def reference_battery():
+    """Named generator trees with lengths in 0..4, so tail gains tie often,
+    plus a star, a path and two brooms."""
+    trees = {f"{shape}-{seed}-{n}": random_tree(GeneratorConfig(
+                 n=n, seed=seed, w_max=2, delta_max=2, shape=shape))
+             for shape in SHAPES for seed in range(1, 6) for n in (2, 9, 60, 300)}
+    trees.update({"star": make_star(12, seed=4), "path": make_path(12, seed=4),
+                  "broom": broom(6, 5, seed=4), "short-broom": broom(1, 3, seed=5)})
+    return trees
+
+
+REFERENCE_TREES = reference_battery()
+
+
+class TestAgainstReferenceWalk:
+    @pytest.mark.parametrize("tree", list(REFERENCE_TREES.values()),
+                             ids=list(REFERENCE_TREES))
+    def test_matches_reference(self, tree):
+        dec = decompose(tree)
+        cd, chains, order = reference_decomposition(tree)
+        assert dec.cd == cd
+        assert dec.order == order
+        assert {b: tuple(getattr(c, f) for f in CHAIN_FIELDS)
+                for b, c in dec.chains.items()} == chains
+
+    def test_chain_is_immutable(self, ex1):
+        chain = decompose(ex1).chains[6]
+        with pytest.raises(AttributeError):
+            chain.beta = 3

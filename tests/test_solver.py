@@ -450,6 +450,17 @@ class TestTieBreaking:
                 digest.update(repr((sol.value, sorted(sol.upgraded))).encode())
         assert digest.hexdigest() == self.DIGEST
 
+    def test_leaf_edge_caps_apply_before_next_merge(self):
+        # The root's branches: the chain 1-3-4, the leaf edge to 5 with
+        # w = u = 0, the chain 1-2-6. Capped before the merge with the chain
+        # to 6, the prefix is all 0, every split ties and the smallest
+        # branch-side budget wins, so node 3 is upgraded. Capped after it,
+        # the split that was best uncapped survives: node 2.
+        tree = build_tree([(2, 1, 2, 4), (3, 1, 1, 2), (4, 3, 2, 3),
+                           (5, 1, 0, 0), (6, 2, 0, 2)], root=1)
+        sol = solve_max(tree, 1)
+        assert (sol.value, sol.upgraded) == (0, {3})
+
 
 class TestForcedSplits:
     """Branches whose split is forced run no merge and build no chain table."""
