@@ -21,37 +21,41 @@ Two merge steps build the tables bottom-up:
 Both steps run one convolution routine over dense budget arrays, with
 ``+`` as the inner operation for the serial (max,+) merge and ``min`` for
 the parallel (max,min) merge; all feasible cells are contiguous, so no
-sparsity handling is needed. Every row is non-decreasing (an upgrade never
-shortens an edge), so the parallel merge needs no loop over splits: it is
-a capped sorted merge of the two rows. Each table's length follows from
-its operands: a merge of rows with ``a`` and ``b`` cells has
-``min(a + b - 1, limit)`` cells, so a region's row ends at its
-upgradable (non-leaf) node count or at the overall budget, whichever is
-smaller. That keeps the whole solve within O(n * K^2), and within O(n^2)
-with K unclamped, as :func:`solve_cost` runs it.
+sparsity handling is needed. A chain's eps=1 g-row is its eps=0 row raised
+by the head gain, so the serial merge convolves the eps=0 rows only and
+raises the result by that gain: the eps=1 cells have the same maximizers.
+Every row is non-decreasing (an upgrade never shortens an edge), so the
+parallel merge needs no loop over splits: it is a capped sorted merge of
+the two rows. Each table's length follows from its operands: a merge of
+rows with ``a`` and ``b`` cells has ``min(a + b - 1, limit)`` cells, so a
+region's row ends at its upgradable (non-leaf) node count or at the
+overall budget, whichever is smaller. That keeps the whole solve within
+O(n * K^2), and within O(n^2) with K unclamped, as :func:`solve_cost`
+runs it.
 
 Where a merge has only one split, none runs and no backpointer is kept:
 
 * a chain ending in a leaf has nothing below it, so its branch row is its
   g-rows and the reconstruction gives the chain the whole branch budget;
 * a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
-  ``[u]`` and takes ``k1 = eps``: as the first branch these rows are the
-  prefix, and after it the parallel merge reduces to capping the prefix,
+  ``[u]`` and takes ``k1 = eps``, so its parallel merge reduces to a cap,
   ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. A run of consecutive leaf
-  edges caps the prefix once, at its smallest ``w`` and ``u``, before the
-  next merge or at the end of the junction; ``min`` is associative, so
-  every later merge sees the rows and ties it would see had each merge
-  run, and no chain table is built for the edge;
+  edges caps once, at its smallest ``w`` and ``u``: a leading run caps the
+  first branch that merges, a later run caps the prefix before the next
+  merge, and a run at the end caps the junction's row. ``min`` is
+  associative, so every later merge sees the rows and ties it would see
+  had each merge run, and no chain table is built for the edge. The first
+  branch that merges thus runs no parallel merge and takes whatever budget
+  the branches after it leave;
 * a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
   branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
-  no chain table and no serial merge;
-* a convolution whose right operand has one cell is a single vectorised
-  operation.
+  no chain table and no serial merge.
 
 Reconstruction reads only the split of each merge, so a value row is
 dropped as soon as the merge above it has read it: what a solve keeps is
-one int32 backpointer pair per merge that ran, one int8 eps row per
-junction and the root's budget-to-value row.
+one int32 backpointer pair per merge that ran (one array for a serial
+merge, whose eps=1 backpointers are a view of its eps=0 ones), one int8
+eps row per junction and the root's budget-to-value row.
 
 Ties in every argmax prefer eps=0, then the smallest branch-side budget,
 which makes reported upgrade sets deterministic.
@@ -78,8 +82,11 @@ class TableSlice:
 
     ``bp0``/``bp1`` record, per cell, the left-operand index of the maximizing
     split (chain budget for serial slices, q-th-branch budget for parallel
-    slices); the left operand shares the cell's eps offset. They are None
-    where no merge ran, because the split is forced.
+    slices); the left operand shares the cell's eps offset. A serial
+    slice's ``bp1`` is a view of its ``bp0``. They are None where no merge
+    ran, because the split is forced: a chain ending in a leaf, a one-edge
+    chain into a junction, a leaf-edge cap, and the first branch of a
+    junction that merges, which runs no parallel merge.
     """
 
     f0: np.ndarray
@@ -147,10 +154,12 @@ class DpTables:
     merge of the q-th branch at junction ``v``, present where the chain
     has two or more edges and ends in a junction. ``parallel[(v, q)]``
     holds those of the parallel merge of branch q into branches
-    ``1..q-1``, present for every q > 1 except a leaf edge, whose merge is
-    a cap. ``subtree_eps[v]`` records, per budget, whether the best table
-    of the subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the
-    optimum with ``k`` upgrades.
+    ``1..q-1``, present for every branch but the leaf edges, whose merge
+    is a cap, and the first branch that is not a leaf edge, which the
+    leaf edges before it only cap; a walk that finds no entry there gives
+    that branch all the budget left. ``subtree_eps[v]`` records, per
+    budget, whether the best table of the subtree at ``v`` upgrades
+    ``v``; ``root_best[k]`` is the optimum with ``k`` upgrades.
     """
 
     tree: RootedTree
@@ -180,10 +189,6 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     if not (a.size and b.size):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
     out_len = min(a.size + b.size - 1, limit)
-    # A one-cell right operand, the prefix after a first-branch leaf edge,
-    # leaves one split per cell: no loop, no ties.
-    if b.size == 1:
-        return op(a[:out_len], b[0]), np.arange(out_len, dtype=np.int32)
     if op is np.minimum:
         out = np.minimum(np.sort(np.concatenate((a, b)))[:out_len],
                          min(a[-1], b[-1]))
@@ -207,23 +212,18 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     return out, arg
 
 
-def _merge(op, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
-           b1: np.ndarray, budget: int) -> TableSlice:
-    """Convolve the eps=0 rows and the eps=1 rows of two operands.
-
-    eps=0 cells run up to k = ``budget``, eps=1 cells (stored from k = 1)
-    likewise; within that, the operands' lengths set the region's size.
-    """
-    f0, bp0 = _convolve(op, a0, b0, budget + 1)
-    f1, bp1 = _convolve(op, a1, b1, budget)
-    return TableSlice(f0, f1, bp0, bp1)
-
-
 def combine_serial(ct: ChainTable, below: np.ndarray,
                    budget: int) -> TableSlice:
-    """Merge a chain with ``below``, the collapsed best-by-budget row of the
-    subtree under the chain's bottom junction."""
-    return _merge(np.add, ct.g0, ct.g1, below, below, budget)
+    """Merge a chain's table at ``budget`` with ``below``, the collapsed
+    best-by-budget row of the subtree under the chain's bottom junction.
+
+    Only the eps=0 rows are convolved: ``g1`` is ``g0`` raised by the head
+    gain, so the eps=1 cells are the eps=0 ones raised by that gain, with
+    the same maximizers, and ``bp1`` is a view of ``bp0``.
+    """
+    f0, bp0 = _convolve(np.add, ct.g0, below, budget + 1)
+    head_gain = ct.g1[0] - ct.g0[0] if budget else 0
+    return TableSlice(f0, f0[:budget] + head_gain, bp0, bp0[:budget])
 
 
 def combine_parallel(branch: TableSlice, prefix: TableSlice,
@@ -231,10 +231,13 @@ def combine_parallel(branch: TableSlice, prefix: TableSlice,
     """Min-combine a branch with the union of the branches before it.
 
     Matching eps on both sides is mandatory; with eps=1 the shared junction
-    upgrade is counted once (k = k1 + k2 - 1).
+    upgrade is counted once (k = k1 + k2 - 1). eps=0 cells run up to
+    k = ``budget``, eps=1 cells (stored from k = 1) likewise. It runs for
+    every branch after the first one that is not a leaf edge.
     """
-    return _merge(np.minimum, branch.f0, branch.f1, prefix.f0, prefix.f1,
-                  budget)
+    f0, bp0 = _convolve(np.minimum, branch.f0, prefix.f0, budget + 1)
+    f1, bp1 = _convolve(np.minimum, branch.f1, prefix.f1, budget)
+    return TableSlice(f0, f1, bp0, bp1)
 
 
 def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
@@ -257,16 +260,20 @@ def _is_leaf_edge(tree: RootedTree, chain: Chain) -> bool:
     return chain.beta == 1 and tree.is_leaf(chain.bottom)
 
 
-def _cap(prefix: TableSlice | None, cap: tuple[int, int],
-         budget: int) -> TableSlice:
+def _cap(sl: TableSlice | None, cap: tuple[int, int] | None,
+         budget: int) -> TableSlice | None:
     """Apply a run of leaf edges with smallest lengths ``cap = (w, u)``:
     ``min(f0, w)`` and ``min(f1, u)``, or the rows ``[w]`` and ``[u]``
-    (the latter at a positive budget) when the run comes first."""
+    (the latter at a positive budget) when there is no ``sl``, at a
+    junction whose branches are all leaf edges. With no run, ``cap`` is
+    None and ``sl`` is returned as it is."""
+    if cap is None:
+        return sl
     w, u = cap
-    if prefix is None:
+    if sl is None:
         return TableSlice(np.array([w], dtype=np.int64),
                           np.array([u], dtype=np.int64)[:budget])
-    return TableSlice(np.minimum(prefix.f0, w), np.minimum(prefix.f1, u))
+    return TableSlice(np.minimum(sl.f0, w), np.minimum(sl.f1, u))
 
 
 def build_tables(tree: RootedTree, budget: int) -> DpTables:
@@ -301,8 +308,9 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
             chain = dec.chains[h]
             if _is_leaf_edge(tree, chain):
                 # Its rows are [w] and [u] and its only split is k1 = eps,
-                # so its parallel merge just caps the prefix. A run of leaf
-                # edges caps it once, before the next merge reads it.
+                # so its parallel merge is a cap. A run of leaf edges caps
+                # once: the first branch that merges, else the prefix before
+                # the next merge reads it, else the junction's row.
                 w, u = tree.w[h], tree.u[h]
                 cap = (w, u) if cap is None else (min(cap[0], w),
                                                   min(cap[1], u))
@@ -320,16 +328,13 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                 else:
                     sl = combine_serial(ct, subtree_best.pop(h), k_cap)
                     serial[(v, q)] = (sl.bp0, sl.bp1)
-            if cap is not None:
-                prefix, cap = _cap(prefix, cap, k_cap), None
             if prefix is None:
-                prefix = sl
+                prefix = _cap(sl, cap, k_cap)  # leaf edges before it cap it
             else:
-                prefix = combine_parallel(sl, prefix, k_cap)
+                prefix = combine_parallel(sl, _cap(prefix, cap, k_cap), k_cap)
                 parallel[(v, q)] = (prefix.bp0, prefix.bp1)
-        if cap is not None:
-            prefix = _cap(prefix, cap, k_cap)
-        subtree_best[v], subtree_eps[v] = _collapse(prefix)
+            cap = None
+        subtree_best[v], subtree_eps[v] = _collapse(_cap(prefix, cap, k_cap))
     root_best = subtree_best.pop(tree.root)
     if len(root_best) != k_cap + 1:
         raise RuntimeError(
@@ -357,11 +362,12 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
             chain = dec.chains[h]
             if _is_leaf_edge(tree, chain):
                 continue  # it takes k1 = eps: v alone, if anything
-            if q > 1:
-                k1 = _split(tables.parallel[(v, q)], eps, k)
-                k = k - k1 + eps  # remainder flows to branches 1..q-1
+            bps = tables.parallel.get((v, q))
+            if bps is None:
+                k1 = k  # the first branch that merged takes what is left
             else:
-                k1 = k
+                k1 = _split(bps, eps, k)
+                k = k - k1 + eps  # remainder flows to branches 1..q-1
             if tree.is_leaf(h):
                 k_chain = k1
             elif chain.beta == 1:
@@ -405,11 +411,9 @@ def solve_max(tree: RootedTree, budget: int) -> Solution:
 
 @dataclass(frozen=True)
 class BudgetQuery:
-    """Trace of one minimum-budget search: the target and the final
-    bracket ``bounds``, ``(k* - 1, k*)``, or ``(0, 0)`` when k* = 0."""
+    """The minimum-budget query that was answered: its target."""
 
     target: int
-    bounds: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -453,6 +457,5 @@ def solve_cost(tree: RootedTree, target: int) -> CostResult:
             "internal error: budget profile is not non-decreasing up to the "
             f"ceiling {ceiling}")
     kstar = int(profile.searchsorted(target, side="left"))
-    bounds = (0, 0) if kstar == 0 else (kstar - 1, kstar)
     return CostResult(kstar, _read_solution(tables, kstar),
-                      BudgetQuery(target, bounds))
+                      BudgetQuery(target))

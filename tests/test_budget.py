@@ -93,9 +93,6 @@ class TestMinimality:
                 assert len(result.solution.upgraded) <= result.kstar
                 assert result.solution.upgraded == \
                     solve_max(tree, result.kstar).upgraded
-                assert result.query.bounds == (
-                    (0, 0) if result.kstar == 0
-                    else (result.kstar - 1, result.kstar))
 
     def test_duality(self, battery):
         rng = random.Random(6)

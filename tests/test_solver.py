@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from interdict import (
     SHAPES,
+    Chain,
     GeneratorConfig,
     InstanceError,
     all_upgraded_min_distance,
@@ -250,9 +251,11 @@ class TestRetainedMemory:
         assert len(tables.root_best) == 1001
 
     def test_forced_serial_merges_store_nothing(self):
-        # The same pass: about 15 MB once the one-edge chains into a
-        # junction (1949 of 3151 serial merges) keep no backpointers, about
-        # 29 MB when they do.
+        # The same pass: about 9.8 MB (9.3 MiB) once each serial merge
+        # keeps one backpointer array, its eps=1 backpointers being a view
+        # of its eps=0 ones; 14.1 MB when it keeps two arrays, and about
+        # 29 MB when the one-edge chains into a junction (1949 of 3151
+        # serial merges) keep backpointers too.
         tree = random_tree(GeneratorConfig(n=10_000, seed=5,
                                            shape="caterpillar"))
         tracemalloc.start()
@@ -261,10 +264,11 @@ class TestRetainedMemory:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert retained < 20 * 2**20
+        assert retained < 12 * 2**20
         dec = tables.decomposition
         assert all(dec.chains[dec.cd[v][q - 1]].beta > 1
                    for v, q in tables.serial)
+        assert all(bp1.base is bp0 for bp0, bp1 in tables.serial.values())
 
 
 class TestInvariantsSurviveOptimize:
@@ -302,6 +306,42 @@ def naive_convolve(op, a, b, out_len):
         out.append(best)
         arg.append(best_i)
     return out, arg
+
+
+class TestSerialEpsOne:
+    """``combine_serial`` derives its eps=1 cells from the eps=0 merge; they
+    must be those of a direct (max,+) merge of the chain's g1 row."""
+
+    # A chain shorter than ``below`` runs _convolve's loop over the chain,
+    # a longer one its loop over ``below``.
+    @pytest.mark.parametrize("chain_longer", [False, True],
+                             ids=["short-chain", "long-chain"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_g1_merge(self, chain_longer, data):
+        beta = data.draw(st.integers(2 if chain_longer else 1, 8))
+        if chain_longer:
+            n_below = data.draw(st.integers(1, beta - 1))
+            budget = data.draw(st.integers(n_below, beta + n_below + 1))
+        else:
+            n_below = data.draw(st.integers(beta, 9))
+            budget = data.draw(st.integers(0, beta + n_below + 1))
+        tail = sorted(data.draw(st.lists(st.integers(0, 2), min_size=beta - 1,
+                                         max_size=beta - 1)), reverse=True)
+        chain = Chain(1, 2, beta, data.draw(st.integers(0, 3)),
+                      data.draw(st.integers(0, 2)), tuple(tail),
+                      tuple(range(3, beta + 2)))
+        below = data.draw(st.lists(st.integers(0, 2), min_size=n_below,
+                                   max_size=n_below))
+        ct = chain_g_table(chain, budget)
+        assert (ct.g0.size > n_below) == chain_longer
+        sl = solver.combine_serial(ct, np.array(below, dtype=np.int64),
+                                   budget)
+        for g, f, bp, limit in ((ct.g0, sl.f0, sl.bp0, budget + 1),
+                                (ct.g1, sl.f1, sl.bp1, budget)):
+            out_len = min(g.size + n_below - 1, limit) if g.size else 0
+            assert (f.tolist(), bp.tolist()) == \
+                naive_convolve(operator.add, g.tolist(), below, out_len)
 
 
 class TestConvolve:
@@ -462,6 +502,13 @@ class TestTieBreaking:
         assert (sol.value, sol.upgraded) == (0, {3})
 
 
+def handle_broom():
+    """A five-edge handle from the root into a fan of 20 leaves."""
+    records = [(c, c - 1, 2, 4) for c in range(2, 7)]
+    records += [(c, 6, c % 3, c % 3 + 1) for c in range(7, 27)]
+    return build_tree(records, root=1)
+
+
 class TestForcedSplits:
     """Branches whose split is forced run no merge and build no chain table."""
 
@@ -484,10 +531,7 @@ class TestForcedSplits:
                          "combine_parallel": 0}
 
     def test_broom_runs_one_serial_merge(self, calls):
-        # A five-edge handle from the root into a fan of 20 leaves.
-        records = [(c, c - 1, 2, 4) for c in range(2, 7)]
-        records += [(c, 6, c % 3, c % 3 + 1) for c in range(7, 27)]
-        tree = build_tree(records, root=1)
+        tree = handle_broom()
         k = len(tree.non_leaves)
         assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls == {"chain_g_table": 1, "combine_serial": 1,
@@ -505,6 +549,33 @@ class TestForcedSplits:
             assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls == {"chain_g_table": 0, "combine_serial": 0,
                          "combine_parallel": 2 * len(budgets)}
+
+    def test_serial_merge_runs_one_convolution(self, calls, monkeypatch):
+        # The eps=1 rows are the eps=0 rows raised by the head gain, so the
+        # broom's one serial merge convolves once.
+        ops = []
+
+        def wrapper(op, *args, _real=solver._convolve):
+            ops.append(op)
+            return _real(op, *args)
+
+        monkeypatch.setattr(solver, "_convolve", wrapper)
+        tree = handle_broom()
+        k = len(tree.non_leaves)
+        assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
+        assert calls["combine_serial"] == 1
+        assert ops == [np.add]
+
+    def test_leading_leaf_edge_caps_first_branch(self, calls):
+        # The root's lowest-id child 2 is a leaf edge, then comes the chain
+        # 1-3-4-5: the edge caps the chain's rows and no parallel merge
+        # runs, so the walk gives the chain all the budget.
+        tree = build_tree([(2, 1, 3, 5), (3, 1, 1, 4), (4, 3, 2, 6),
+                           (5, 4, 1, 3)], root=1)
+        for k in range(len(tree.non_leaves) + 1):
+            assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
+            assert build_tables(tree, k).parallel == {}
+        assert calls["combine_parallel"] == 0
 
 
 class TestMonotoneRows:
