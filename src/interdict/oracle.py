@@ -1,12 +1,16 @@
-"""Brute-force oracles: exact by enumeration, for testing the fast solvers.
+"""Oracles for testing the fast solvers: exact by enumeration, and a
+node-level reference dynamic program.
 
-Guarded to small instances; these are the independent ground truth the
-dynamic program and the minimum-budget search are verified against.
+Brute force is guarded to small instances. The reference profile runs on
+trees of a few thousand nodes and shares no code with the chain
+decomposition or the solver, so the two DPs check each other. These are
+the independent ground truth the dynamic program and the minimum-budget
+search are verified against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import TargetUnreachable, TooLargeForOracle, _decimal
 from .tree import RootedTree, all_upgraded_min_distance, evaluate_min_distance
@@ -61,3 +65,52 @@ def brute_force_cost(tree: RootedTree, target: int) -> int:
         if value >= target:
             return k
     raise AssertionError("unreachable: ceiling check guarantees a hit")
+
+
+def reference_profile(tree: RootedTree,
+                      budget: int | None = None) -> list[int]:
+    """Best value with at most ``k`` upgrades, for ``k = 0..budget``
+    (default: every non-leaf node), by a node-level dynamic program.
+
+    ``best[v][k]`` is the largest distance from ``v`` to its nearest leaf
+    below with exactly ``k`` upgrades in ``v``'s subtree. For each choice
+    of upgrading ``v`` or not, the children's rows, raised by ``u`` or
+    ``w``, are joined by an explicit double loop over budget splits that
+    keeps the largest ``min``; ``best[v]`` is the better choice per ``k``.
+    Plain Python ints, no chains and no sorting: O(n^2) cell pairs.
+    """
+    cap = len(tree.non_leaves)
+    if budget is not None:
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        cap = min(budget, cap)
+    best: dict[int, list[int]] = {}
+    for v in reversed(tree.bfs_order):
+        kids = tree.children[v]
+        if not kids:
+            best[v] = [0]
+            continue
+        rows = []  # rows[eps][k - eps]
+        for eps, length in ((0, tree.w), (1, tree.u)):
+            limit = cap + 1 - eps
+            merged = None
+            for c in kids:
+                row = [x + length[c] for x in best[c][:limit]]
+                if merged is None:
+                    merged = row
+                    continue
+                out = [-1] * min(len(merged) + len(row) - 1, limit)
+                for i, a in enumerate(merged):
+                    for j, b in enumerate(row[:len(out) - i], start=i):
+                        cell = a if a < b else b
+                        if cell > out[j]:
+                            out[j] = cell
+                merged = out
+            rows.append(merged)
+        f0, f1 = rows
+        best[v] = [max(f0[k] if k < len(f0) else -1,
+                       f1[k - 1] if 0 < k <= len(f1) else -1)
+                   for k in range(max(len(f0), len(f1) + 1))]
+        for c in kids:
+            del best[c]
+    return list(accumulate(best[tree.root], max))

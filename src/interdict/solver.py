@@ -1,6 +1,6 @@
 """Budgeted dynamic program over the chain decomposition: the chain g-rows,
-both merges, the backpointer walk, and :func:`solve_max` and
-:func:`solve_cost`, which read the root's budget-to-value row two ways.
+both merges, the walk that recovers the upgrade set, and :func:`solve_max`
+and :func:`solve_cost`, which read the root's budget-to-value row two ways.
 
 For a junction ``v`` with critical descendants ``h_1 < h_2 < ... < h_p``,
 the q-th *branch* is the chain down to ``h_q`` plus the whole subtree below
@@ -14,51 +14,56 @@ Two merge steps build the tables bottom-up:
 * serial: best branch value = max over ``k1 + k2 = k`` of
   chain ``g(eps, k1)`` plus the best full-subtree value below the chain
   with ``k2`` upgrades (0 if the chain bottoms out in a leaf);
-* parallel: the first ``q`` branches combine by ``min`` (a path through
-  any branch may be the shortest), maximizing over ``k1 + k2 - eps = k``
-  so the shared upgrade of ``v`` is paid for once.
+* parallel: a junction's branches combine by ``min`` (a path through any
+  branch may be the shortest), maximizing over budget splits that sum to
+  ``k``, with the shared upgrade of ``v`` paid for once.
 
-Both steps run one convolution routine over dense budget arrays, with
-``+`` as the inner operation for the serial (max,+) merge and ``min`` for
-the parallel (max,min) merge; all feasible cells are contiguous, so no
-sparsity handling is needed. A chain's eps=1 g-row is its eps=0 row raised
-by the head gain, so the serial merge convolves the eps=0 rows only and
-raises the result by that gain: the eps=1 cells have the same maximizers.
-Every row is non-decreasing (an upgrade never shortens an edge), so the
-parallel merge needs no loop over splits: it is a capped sorted merge of
-the two rows. Each table's length follows from its operands: a merge of
-rows with ``a`` and ``b`` cells has ``min(a + b - 1, limit)`` cells, so a
-region's row ends at its upgradable (non-leaf) node count or at the
-overall budget, whichever is smaller. That keeps the whole solve within
-O(n * K^2), and within O(n^2) with K unclamped, as :func:`solve_cost`
-runs it.
+The serial merge is a (max,+) convolution over dense budget arrays; all
+feasible cells are contiguous, so no sparsity handling is needed. A
+chain's eps=1 g-row is its eps=0 row raised by the head gain, so the serial
+merge convolves the eps=0 rows only and raises the result by that gain:
+the eps=1 cells have the same maximizers. Every row is non-decreasing (an
+upgrade never shortens an edge), so the parallel merge of all of a
+junction's branches needs no loop over splits: cell ``m`` is the
+(m+1)-th smallest cell of the union of their rows, capped at the smallest
+last cell, one sort per eps. Each table's length follows from its
+operands: a merge of rows with ``a_1, ..., a_p`` cells has
+``min(sum(a_i - 1) + 1, limit)`` cells, so a region's row ends at its
+upgradable (non-leaf) node count or at the overall budget, whichever is
+smaller. That keeps the whole solve within O(n * K^2), and within O(n^2)
+with K unclamped, as :func:`solve_cost` runs it.
 
-Where a merge has only one split, none runs and no backpointer is kept:
+Where a merge has only one split, none runs and nothing is kept:
 
 * a chain ending in a leaf has nothing below it, so its branch row is its
-  g-rows and the reconstruction gives the chain the whole branch budget;
+  g-rows and the walk gives the chain the whole branch budget;
 * a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
-  ``[u]`` and takes ``k1 = eps``, so its parallel merge reduces to a cap,
-  ``f0 = min(f0, w)`` and ``f1 = min(f1, u)``. A run of consecutive leaf
-  edges caps once, at its smallest ``w`` and ``u``: a leading run caps the
-  first branch that merges, a later run caps the prefix before the next
-  merge, and a run at the end caps the junction's row. ``min`` is
-  associative, so every later merge sees the rows and ties it would see
-  had each merge run, and no chain table is built for the edge. The first
-  branch that merges thus runs no parallel merge and takes whatever budget
-  the branches after it leave;
+  ``[u]`` and takes ``k1 = eps``, so its part in the parallel merge is a
+  cap, ``min(f0, w)`` and ``min(f1, u)``. A run of consecutive leaf edges
+  caps once, at its smallest ``w`` and ``u``: a run caps the branch after
+  it, and a run at the end caps the junction's row. ``min`` is
+  associative, so this gives the cells and ties of a merge of every edge,
+  and no chain table is built for the edge;
+* a junction with one branch that is not a leaf edge passes that
+  branch's rows up, and the walk gives it the whole budget;
 * a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
   branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
   no chain table and no serial merge.
 
-Reconstruction reads only the split of each merge, so a value row is
-dropped as soon as the merge above it has read it: what a solve keeps is
-one int32 backpointer pair per merge that ran (one array for a serial
-merge, whose eps=1 backpointers are a view of its eps=0 ones), one int8
-eps row per junction and the root's budget-to-value row.
+The walk reads only the split of each merge, so a value row is dropped as
+soon as the merge above it has read it. What a solve keeps is one int32
+backpointer row per serial merge that ran, the (capped) rows of the
+branches at each junction where two or more merge, one int8 eps row per
+junction and the root's budget-to-value row. From the branch rows the walk
+recomputes the splits of merging the branches one at a time, left to
+right: going from the last branch down with remainder ``m``, branch q
+takes the smallest index of its row that reaches the merged value of
+branches 1..q at ``m`` and leaves the rest within branches 1..q-1's
+capacity, and branch 1 takes what is left.
 
-Ties in every argmax prefer eps=0, then the smallest branch-side budget,
-which makes reported upgrade sets deterministic.
+Ties in every argmax prefer eps=0, then the smallest budget for the
+chain, or for the later branch, which makes reported upgrade sets
+deterministic.
 """
 
 from __future__ import annotations
@@ -80,19 +85,15 @@ _NEG = np.int64(np.iinfo(np.int64).min // 4)
 class TableSlice:
     """One region's table: f0[k] = f(eps=0, k), f1[i] = f(eps=1, i+1).
 
-    ``bp0``/``bp1`` record, per cell, the left-operand index of the maximizing
-    split (chain budget for serial slices, q-th-branch budget for parallel
-    slices); the left operand shares the cell's eps offset. A serial
-    slice's ``bp1`` is a view of its ``bp0``. They are None where no merge
-    ran, because the split is forced: a chain ending in a leaf, a one-edge
-    chain into a junction, a leaf-edge cap, and the first branch of a
-    junction that merges, which runs no parallel merge.
+    ``bp`` is set on a serial merge's slice only: per eps=0 cell, the chain
+    budget of the maximizing split. The eps=1 cell ``k`` has the split of
+    the eps=0 cell ``k - 1`` plus the head, since its row is the eps=0 row
+    raised by the head gain.
     """
 
     f0: np.ndarray
     f1: np.ndarray
-    bp0: np.ndarray | None = None
-    bp1: np.ndarray | None = None
+    bp: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -137,64 +138,38 @@ def chain_g_table(chain: Chain, budget: int) -> ChainTable:
     return ChainTable(g0=g0, g1=g1)
 
 
-Backpointers = tuple[np.ndarray, np.ndarray]  # a merge's (bp0, bp1)
-
-
-def _split(bps: Backpointers, eps: int, k: int) -> int:
-    """Left-operand budget of the maximizing split for cell ``(eps, k)``."""
-    return int(bps[eps][k - eps]) + eps
-
-
 @dataclass
 class DpTables:
-    """What the backpointer walk of one solve reads; values are dropped
-    once the merge above has consumed them.
+    """What the walk of one solve reads; values are dropped once the merge
+    above has consumed them, except the branch rows the walk re-reads.
 
-    ``serial[(v, q)]`` holds the ``(bp0, bp1)`` backpointers of the serial
-    merge of the q-th branch at junction ``v``, present where the chain
-    has two or more edges and ends in a junction. ``parallel[(v, q)]``
-    holds those of the parallel merge of branch q into branches
-    ``1..q-1``, present for every branch but the leaf edges, whose merge
-    is a cap, and the first branch that is not a leaf edge, which the
-    leaf edges before it only cap; a walk that finds no entry there gives
-    that branch all the budget left. ``subtree_eps[v]`` records, per
-    budget, whether the best table of the subtree at ``v`` upgrades
-    ``v``; ``root_best[k]`` is the optimum with ``k`` upgrades.
+    ``serial[h]`` holds the backpointers of the serial merge of the chain
+    down to ``h``, present where the chain has two or more edges and ends
+    in a junction. ``branches[v]`` holds the rows of junction ``v``'s
+    branches that are not leaf edges, each capped by the leaf edges before
+    it, in ``cd`` order; they are kept where two or more merge at a
+    positive budget, and everywhere else the split is forced.
+    ``subtree_eps[v]`` records, per budget, whether the best table of the
+    subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the optimum with
+    ``k`` upgrades.
     """
 
     tree: RootedTree
     decomposition: Decomposition
     budget: int
-    serial: dict[tuple[int, int], Backpointers]
-    parallel: dict[tuple[int, int], Backpointers]
+    serial: dict[int, np.ndarray]
+    branches: dict[int, tuple[TableSlice, ...]]
     subtree_eps: dict[int, np.ndarray]
     root_best: np.ndarray
 
 
-def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
-    """out[m] = max_{i+j=m} op(a[i], b[j]), arg = smallest maximizing i.
+def _convolve(a: np.ndarray, b: np.ndarray, limit: int):
+    """out[m] = max_{i+j=m} a[i] + b[j], arg = smallest maximizing i.
 
-    ``op`` is ``np.add`` for the serial (max,+) merge and ``np.minimum``
-    for the parallel (max,min) merge. The result has
-    ``min(a.size + b.size - 1, limit)`` cells (none if an operand is
-    empty), each covered by at least one split.
-
-    For ``np.minimum`` both rows must be non-decreasing, which every DP row
-    is: ``build_tree`` keeps ``0 <= w <= u``, so a best exact-k value can
-    always take one more upgrade. Then the merge is a capped sorted merge:
-    out[m] is the (m+1)-th smallest cell of both rows, capped at the smaller
-    last cell, and its smallest split is the first i with ``a[i] >= out[m]``
-    that leaves ``j = m - i`` inside ``b``.
+    The result has ``min(a.size + b.size - 1, limit)`` cells, each covered
+    by at least one split.
     """
-    if not (a.size and b.size):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
     out_len = min(a.size + b.size - 1, limit)
-    if op is np.minimum:
-        out = np.minimum(np.sort(np.concatenate((a, b)))[:out_len],
-                         min(a[-1], b[-1]))
-        arg = np.maximum(np.searchsorted(a, out, "left"),
-                         np.arange(out_len) - (b.size - 1))
-        return out, arg.astype(np.int32)
     out = np.full(out_len, _NEG, dtype=np.int64)
     arg = np.zeros(out_len, dtype=np.int32)
     # Iterate the shorter operand. Over the right one, highest j first, so
@@ -204,7 +179,7 @@ def _convolve(op, a: np.ndarray, b: np.ndarray, limit: int):
     steps = range(min(short.size, out_len))
     for s in steps if a_short else reversed(steps):
         m = min(full.size, out_len - s)
-        seg = op(short[s], full[:m])
+        seg = short[s] + full[:m]
         view = out[s:s + m]
         mask = seg > view
         view[mask] = seg[mask]
@@ -219,25 +194,61 @@ def combine_serial(ct: ChainTable, below: np.ndarray,
 
     Only the eps=0 rows are convolved: ``g1`` is ``g0`` raised by the head
     gain, so the eps=1 cells are the eps=0 ones raised by that gain, with
-    the same maximizers, and ``bp1`` is a view of ``bp0``.
+    the same maximizers.
     """
-    f0, bp0 = _convolve(np.add, ct.g0, below, budget + 1)
+    f0, bp = _convolve(ct.g0, below, budget + 1)
     head_gain = ct.g1[0] - ct.g0[0] if budget else 0
-    return TableSlice(f0, f0[:budget] + head_gain, bp0, bp0[:budget])
+    return TableSlice(f0, f0[:budget] + head_gain, bp)
 
 
-def combine_parallel(branch: TableSlice, prefix: TableSlice,
-                     budget: int) -> TableSlice:
-    """Min-combine a branch with the union of the branches before it.
+def _merge_rows(rows: list[np.ndarray], limit: int) -> np.ndarray:
+    """(max,min) merge of non-decreasing rows over every budget split: cell
+    m is the (m+1)-th smallest cell of their union, capped at the smallest
+    last cell, for m up to the sum of (length - 1) and below ``limit``."""
+    size = min(sum(row.size for row in rows) - len(rows) + 1, limit)
+    if size <= 0:  # the eps=1 rows at budget 0, all empty
+        return np.zeros(0, dtype=np.int64)
+    out = np.sort(np.concatenate(rows))[:size]
+    return np.minimum(out, min(row[-1] for row in rows), out=out)
 
-    Matching eps on both sides is mandatory; with eps=1 the shared junction
-    upgrade is counted once (k = k1 + k2 - 1). eps=0 cells run up to
-    k = ``budget``, eps=1 cells (stored from k = 1) likewise. It runs for
-    every branch after the first one that is not a leaf edge.
+
+def combine_parallel(branches: list[TableSlice], budget: int) -> TableSlice:
+    """Min-combine a junction's branches in one merge per eps.
+
+    Matching eps on all sides is mandatory; the eps=1 rows merge on their
+    own index (k - 1), so the shared junction upgrade is counted once.
+    eps=0 cells run up to k = ``budget``, eps=1 cells (stored from k = 1)
+    likewise. Every DP row is non-decreasing (``build_tree`` keeps
+    ``0 <= w <= u``, so a best exact-k value can always take one more
+    upgrade), so the merge is a sorted union. A single branch is its own
+    merge.
     """
-    f0, bp0 = _convolve(np.minimum, branch.f0, prefix.f0, budget + 1)
-    f1, bp1 = _convolve(np.minimum, branch.f1, prefix.f1, budget)
-    return TableSlice(f0, f1, bp0, bp1)
+    if len(branches) == 1:
+        return branches[0]
+    return TableSlice(_merge_rows([b.f0 for b in branches], budget + 1),
+                      _merge_rows([b.f1 for b in branches], budget))
+
+
+def _branch_splits(rows: list[np.ndarray], m: int) -> list[int]:
+    """Per-row indexes of the maximizing split of cell ``m`` of the rows'
+    merge, as the left-to-right pairwise merges would choose them: merging
+    row q into the merge of rows 1..q-1, the split gives row q its
+    smallest index reaching the merged value that leaves the rest inside
+    the earlier rows. Row 1 takes what is left."""
+    splits = [0] * len(rows)
+    ends = np.cumsum([row.size for row in rows])
+    cells = np.concatenate(rows)
+    lasts = np.minimum.accumulate(cells[ends - 1])
+    for q in range(len(rows) - 1, 0, -1):
+        if not m:
+            break
+        value = min(np.partition(cells[:ends[q]], m)[m], lasts[q])
+        # The q rows before rows[q] can take at most ends[q - 1] - q of m.
+        splits[q] = max(int(np.searchsorted(rows[q], value)),
+                        m - int(ends[q - 1]) + q)
+        m -= splits[q]
+    splits[0] = m
+    return splits
 
 
 def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
@@ -260,19 +271,15 @@ def _is_leaf_edge(tree: RootedTree, chain: Chain) -> bool:
     return chain.beta == 1 and tree.is_leaf(chain.bottom)
 
 
-def _cap(sl: TableSlice | None, cap: tuple[int, int] | None,
-         budget: int) -> TableSlice | None:
-    """Apply a run of leaf edges with smallest lengths ``cap = (w, u)``:
-    ``min(f0, w)`` and ``min(f1, u)``, or the rows ``[w]`` and ``[u]``
-    (the latter at a positive budget) when there is no ``sl``, at a
-    junction whose branches are all leaf edges. With no run, ``cap`` is
-    None and ``sl`` is returned as it is."""
-    if cap is None:
+def _cap(sl: TableSlice, tree: RootedTree, run: list[int]) -> TableSlice:
+    """Apply a run of leaf edges, whose rows are ``[w]`` and ``[u]``:
+    ``min(f0, w)`` and ``min(f1, u)`` at the run's smallest ``w`` and
+    ``u``. With no run, ``sl`` is returned as it is."""
+    if not run:
         return sl
-    w, u = cap
-    if sl is None:
-        return TableSlice(np.array([w], dtype=np.int64),
-                          np.array([u], dtype=np.int64)[:budget])
+    # map() rather than a generator: a frame step per edge showed in the
+    # solve time of deep trees.
+    w, u = (min(map(lengths.__getitem__, run)) for lengths in (tree.w, tree.u))
     return TableSlice(np.minimum(sl.f0, w), np.minimum(sl.f1, u))
 
 
@@ -282,7 +289,8 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     Tables hold int64 cells, each bounded by the longest all-upgraded
     root-leaf path; trees where that path exceeds the int64 range raise
     :class:`InstanceError`. Each value row lives only until the merge above
-    it has read it; backpointers are int32 and ``subtree_eps`` rows int8.
+    it has read it, except the branch rows kept where two or more branches
+    merge; backpointers are int32 and ``subtree_eps`` rows int8.
     A chain ending in a leaf runs no serial merge: its g-rows are the
     branch row.
     """
@@ -296,24 +304,21 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     dec = decompose(tree)
     k_cap = min(budget, len(tree.non_leaves))
 
-    serial: dict[tuple[int, int], Backpointers] = {}
-    parallel: dict[tuple[int, int], Backpointers] = {}
+    serial: dict[int, np.ndarray] = {}
+    branches: dict[int, tuple[TableSlice, ...]] = {}
     subtree_best: dict[int, np.ndarray] = {}  # junctions not yet merged
     subtree_eps: dict[int, np.ndarray] = {}
 
     for v in dec.order:
-        prefix = None
-        cap = None  # smallest (w, u) of the leaf edges not yet applied
-        for q, h in enumerate(dec.cd[v], start=1):
+        rows: list[TableSlice] = []
+        run: list[int] = []  # the leaf edges since the last branch
+        for h in dec.cd[v]:
             chain = dec.chains[h]
             if _is_leaf_edge(tree, chain):
                 # Its rows are [w] and [u] and its only split is k1 = eps,
-                # so its parallel merge is a cap. A run of leaf edges caps
-                # once: the first branch that merges, else the prefix before
-                # the next merge reads it, else the junction's row.
-                w, u = tree.w[h], tree.u[h]
-                cap = (w, u) if cap is None else (min(cap[0], w),
-                                                  min(cap[1], u))
+                # so its merge is a cap. A run of leaf edges caps once: the
+                # branch after it, else the junction's row.
+                run.append(h)
                 continue
             if chain.beta == 1:
                 # One edge into a junction: its rows are [w] and [u], so its
@@ -327,26 +332,28 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                     sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on chain
                 else:
                     sl = combine_serial(ct, subtree_best.pop(h), k_cap)
-                    serial[(v, q)] = (sl.bp0, sl.bp1)
-            if prefix is None:
-                prefix = _cap(sl, cap, k_cap)  # leaf edges before it cap it
-            else:
-                prefix = combine_parallel(sl, _cap(prefix, cap, k_cap), k_cap)
-                parallel[(v, q)] = (prefix.bp0, prefix.bp1)
-            cap = None
-        subtree_best[v], subtree_eps[v] = _collapse(_cap(prefix, cap, k_cap))
+                    serial[h] = sl.bp
+            rows.append(_cap(sl, tree, run))
+            run = []
+        if len(rows) > 1 and k_cap:
+            branches[v] = tuple(rows)
+        # All leaf edges: the run caps one-cell rows that bound nothing.
+        merged = (combine_parallel(rows, k_cap) if rows else TableSlice(
+            np.full(1, _INT64_MAX, dtype=np.int64),
+            np.full(min(1, k_cap), _INT64_MAX, dtype=np.int64)))
+        subtree_best[v], subtree_eps[v] = _collapse(_cap(merged, tree, run))
     root_best = subtree_best.pop(tree.root)
     if len(root_best) != k_cap + 1:
         raise RuntimeError(
             f"internal error: root row has {len(root_best)} cells, "
             f"expected {k_cap + 1}")
 
-    return DpTables(tree, dec, k_cap, serial, parallel, subtree_eps,
+    return DpTables(tree, dec, k_cap, serial, branches, subtree_eps,
                     root_best)
 
 
 def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
-    """Walk backpointers from the root cell for budget ``k_root`` and
+    """Walk the splits down from the root cell for budget ``k_root`` and
     materialize the upgrade set."""
     dec = tables.decomposition
     tree = tables.tree
@@ -356,29 +363,26 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
         v, eps, k = stack.pop()
         if eps:
             upgraded.add(v)
-        cd = dec.cd[v]
-        for q in range(len(cd), 0, -1):
-            h = cd[q - 1]
+        # A leaf edge takes k1 = eps: v alone, if anything.
+        real = [h for h in dec.cd[v] if not _is_leaf_edge(tree, dec.chains[h])]
+        splits = [k - eps] + [0] * (len(real) - 1)  # one branch, or budget 0
+        if v in tables.branches:
+            splits = _branch_splits([sl.f1 if eps else sl.f0
+                                     for sl in tables.branches[v]], k - eps)
+        for h, i in zip(real, splits):
             chain = dec.chains[h]
-            if _is_leaf_edge(tree, chain):
-                continue  # it takes k1 = eps: v alone, if anything
-            bps = tables.parallel.get((v, q))
-            if bps is None:
-                k1 = k  # the first branch that merged takes what is left
-            else:
-                k1 = _split(bps, eps, k)
-                k = k - k1 + eps  # remainder flows to branches 1..q-1
+            k1 = i + eps
             if tree.is_leaf(h):
                 k_chain = k1
             elif chain.beta == 1:
                 k_chain = eps  # one edge into a junction: v alone, if anything
             else:
-                k_chain = _split(tables.serial[(v, q)], eps, k1)
+                k_chain = int(tables.serial[h][i]) + eps
             upgraded |= chain.upgrade_set(eps, k_chain)
             k_below = k1 - k_chain
             if k_below > 0:
-                stack.append(
-                    (h, int(tables.subtree_eps[h][k_below]), k_below))
+                eps_below = int(tables.subtree_eps[h][k_below])
+                stack.append((h, eps_below, k_below))
     return upgraded
 
 

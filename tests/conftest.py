@@ -56,6 +56,25 @@ def make_star(n, seed, w_max=6, delta_max=6):
     return build_tree(records, root=1)
 
 
+def make_spider(legs, seed=None, w_max=2, delta_max=2, leg_edges=(2,)):
+    """A root with ``legs`` paths down to leaves, each of a length drawn
+    from ``leg_edges``; legs of one edge are leaf edges. With no ``seed``
+    every leg has two edges with w = 1 and u = 2."""
+    rng = random.Random(seed)
+    records, node = [], 2
+    for _ in range(legs):
+        parent = 1
+        for _ in range(rng.choice(leg_edges)):
+            if seed is None:
+                w, u = 1, 2
+            else:
+                w = rng.randint(0, w_max)
+                u = w + rng.randint(0, delta_max)
+            records.append((node, parent, w, u))
+            parent, node = node, node + 1
+    return build_tree(records, root=1)
+
+
 def small_battery(min_trees=500, n_max=12, reps=12):
     """Seeded tree battery covering all generator shapes plus explicit
     paths and stars; weight ranges rotate to exercise ties, zero weights

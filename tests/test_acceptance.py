@@ -87,10 +87,10 @@ def test_criterion_1_golden_regression(ex1):
         table = chain_g_table(dec.chains[bottom], 1)
         return TableSlice(table.g0, table.g1)
 
-    # full subtree under the deeper junction with two leaf branches: chain
-    # 10's g-rows merged into leaf edge 8's rows [3] and [10]
-    sl = combine_parallel(g_rows(10), TableSlice(np.array([3]),
-                                                 np.array([10])), 1)
+    # full subtree under the deeper junction with two leaf branches: leaf
+    # edge 8's rows [3] and [10] merged with chain 10's g-rows
+    sl = combine_parallel([TableSlice(np.array([3]), np.array([10])),
+                           g_rows(10)], 1)
     assert rows(sl) == ([3, 3], [10])
 
     # the root branch through node 2 (chain plus inner junction, whose
@@ -101,7 +101,7 @@ def test_criterion_1_golden_regression(ex1):
     # the full tree table at the root, and the root row of the solve
     s7 = combine_serial(chain_g_table(dec.chains[7], 1), np.array([3, 10]), 1)
     s6 = g_rows(6)
-    sl = combine_parallel(s7, combine_parallel(s6, s2, 1), 1)
+    sl = combine_parallel([s2, s6, s7], 1)
     assert sl.f0[1] == 9 and sl.f1[0] == 13
     assert tables.root_best.tolist() == [7, 13]
 

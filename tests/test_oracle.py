@@ -1,6 +1,7 @@
 import pytest
 
 from interdict import (
+    SHAPES,
     GeneratorConfig,
     TargetUnreachable,
     TooLargeForOracle,
@@ -9,8 +10,11 @@ from interdict import (
     brute_force_max,
     evaluate_min_distance,
     random_tree,
+    solve_cost,
+    solve_max,
 )
-from conftest import make_star
+from interdict.oracle import reference_profile
+from conftest import make_spider, make_star
 
 
 class TestBruteForceMax:
@@ -55,3 +59,44 @@ class TestBruteForceCost:
             for budget in range(min(3, len(tree.non_leaves)) + 1):
                 value, _ = brute_force_max(tree, budget)
                 assert brute_force_cost(tree, value) <= budget
+
+
+class TestReferenceProfile:
+    """The node-level reference DP against brute force on small trees, and
+    the solver against it on trees far past the brute-force limit."""
+
+    def test_matches_brute_force(self, battery):
+        for tree in battery[::7]:
+            profile = reference_profile(tree)
+            assert profile == [brute_force_max(tree, k)[0]
+                               for k in range(len(tree.non_leaves) + 1)]
+
+    def test_budget_truncates(self, ex1):
+        assert reference_profile(ex1) == [7, 13, 14, 18, 20, 20]
+        assert reference_profile(ex1, 2) == [7, 13, 14]
+        assert reference_profile(ex1, 0) == [7]
+        assert reference_profile(ex1, 99) == reference_profile(ex1)
+        with pytest.raises(ValueError):
+            reference_profile(ex1, -1)
+
+    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    def test_solver_matches_on_large_trees(self, n):
+        trees = [random_tree(GeneratorConfig(n=n, seed=n + w_max, w_max=w_max,
+                                             delta_max=w_max, shape=shape))
+                 for shape in SHAPES for w_max in (100, 3)]
+        trees += [make_spider(n // 4, seed=n, leg_edges=(1, 2, 2, 3)),
+                  make_spider(n // 4, seed=n + 1, w_max=100, delta_max=100)]
+        checks = 0
+        for tree in trees:
+            profile = reference_profile(tree)
+            cap = len(profile) - 1
+            for k in sorted({1, cap // 10, cap // 2}):
+                assert solve_max(tree, k).value == profile[k], (n, k)
+                checks += 1
+            for target in sorted({min(profile[0] + 1, profile[-1]),
+                                  (profile[0] + profile[-1]) // 2,
+                                  profile[-1]}):
+                kstar = next(k for k, v in enumerate(profile) if v >= target)
+                assert solve_cost(tree, target).kstar == kstar, (n, target)
+                checks += 1
+        assert checks >= 50

@@ -30,6 +30,8 @@ from interdict import (
 from interdict import solver
 from interdict.solver import _convolve
 
+from conftest import make_spider
+
 INT64_MAX = 2**63 - 1
 EDGE_WEIGHTS = (0, 1, 3, 2**40, 2**61 - 1)
 
@@ -107,10 +109,10 @@ class TestTables:
         assert (cell(sl, 0, 0), cell(sl, 0, 1), cell(sl, 1, 1)) == (9, 11, 18)
 
     def test_parallel_full_subtree_v7(self, ex1):
-        # Chain 10's g-rows merged into leaf edge 8's rows [3] and [10].
+        # Leaf edge 8's rows [3] and [10] merged with chain 10's g-rows.
         g10 = chain_g_table(decompose(ex1).chains[10], 1)
-        sl = solver.combine_parallel(leaf_chain_slice(g10),
-                                     leaf_edge_slice(3, 10), 1)
+        sl = solver.combine_parallel([leaf_edge_slice(3, 10),
+                                      leaf_chain_slice(g10)], 1)
         assert cell(sl, 0, 0) == 3
         assert cell(sl, 0, 1) == 3
         assert cell(sl, 1, 1) == 10
@@ -126,8 +128,8 @@ class TestTables:
 
     def test_parallel_full_tree(self, ex1):
         branches = golden_branches(ex1)
-        prefix = solver.combine_parallel(branches[6], branches[2], 1)
-        sl = solver.combine_parallel(branches[7], prefix, 1)
+        sl = solver.combine_parallel([branches[2], branches[6], branches[7]],
+                                     1)
         assert cell(sl, 0, 0) == 7
         assert cell(sl, 0, 1) == 9
         assert cell(sl, 1, 1) == 13
@@ -153,8 +155,8 @@ class TestTables:
 
     def test_infeasible_cells_absent(self, ex1):
         g10 = chain_g_table(decompose(ex1).chains[10], 1)
-        sl = solver.combine_parallel(leaf_chain_slice(g10),
-                                     leaf_edge_slice(3, 10), 1)
+        sl = solver.combine_parallel([leaf_edge_slice(3, 10),
+                                      leaf_chain_slice(g10)], 1)
         assert cell(sl, 1, 0) is None
         assert cell(sl, 0, 5) is None
 
@@ -232,7 +234,8 @@ class TestInt64Range:
 
 
 class TestRetainedMemory:
-    """A solve keeps backpointers, eps rows and the root row, not values."""
+    """A solve keeps backpointers, eps rows, the root row and the rows of
+    branches that merge at a junction, not merged values."""
 
     def test_caterpillar_tables_stay_small(self):
         # About 29 MB either way. Keeping every merge's value rows retains
@@ -251,11 +254,10 @@ class TestRetainedMemory:
         assert len(tables.root_best) == 1001
 
     def test_forced_serial_merges_store_nothing(self):
-        # The same pass: about 9.8 MB (9.3 MiB) once each serial merge
-        # keeps one backpointer array, its eps=1 backpointers being a view
-        # of its eps=0 ones; 14.1 MB when it keeps two arrays, and about
+        # The same pass: about 9.5 MB (9.1 MiB) with one backpointer array
+        # per serial merge; 14.1 MB when each kept two arrays, and about
         # 29 MB when the one-edge chains into a junction (1949 of 3151
-        # serial merges) keep backpointers too.
+        # serial merges) kept backpointers too.
         tree = random_tree(GeneratorConfig(n=10_000, seed=5,
                                            shape="caterpillar"))
         tracemalloc.start()
@@ -266,9 +268,24 @@ class TestRetainedMemory:
             tracemalloc.stop()
         assert retained < 12 * 2**20
         dec = tables.decomposition
-        assert all(dec.chains[dec.cd[v][q - 1]].beta > 1
-                   for v, q in tables.serial)
-        assert all(bp1.base is bp0 for bp0, bp1 in tables.serial.values())
+        assert all(dec.chains[h].beta > 1 for h in tables.serial)
+        assert all(bp.ndim == 1 and bp.dtype == np.int32
+                   for bp in tables.serial.values())
+
+    def test_wide_junction_keeps_branch_rows_only(self):
+        # A root with 2000 legs of two edges, at the full budget: about
+        # 1.2 MiB for the legs' rows, where pairwise merges kept 16.4 MiB
+        # of backpointers for prefixes of up to 4001 cells.
+        tree = make_spider(2000)
+        tracemalloc.start()
+        try:
+            tables = build_tables(tree, len(tree.non_leaves))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 * 2**20
+        assert list(tables.branches) == [tree.root]
+        assert len(tables.branches[tree.root]) == 2000
 
 
 class TestInvariantsSurviveOptimize:
@@ -337,8 +354,8 @@ class TestSerialEpsOne:
         assert (ct.g0.size > n_below) == chain_longer
         sl = solver.combine_serial(ct, np.array(below, dtype=np.int64),
                                    budget)
-        for g, f, bp, limit in ((ct.g0, sl.f0, sl.bp0, budget + 1),
-                                (ct.g1, sl.f1, sl.bp1, budget)):
+        for g, f, bp, limit in ((ct.g0, sl.f0, sl.bp, budget + 1),
+                                (ct.g1, sl.f1, sl.bp[:budget], budget)):
             out_len = min(g.size + n_below - 1, limit) if g.size else 0
             assert (f.tolist(), bp.tolist()) == \
                 naive_convolve(operator.add, g.tolist(), below, out_len)
@@ -347,25 +364,84 @@ class TestSerialEpsOne:
 class TestConvolve:
     """``_convolve`` against a plain double loop, ties included."""
 
-    # The (max,min) merge requires non-decreasing rows, as every DP row is.
-    @pytest.mark.parametrize("op, ref, rows", [(np.add, operator.add, list),
-                                               (np.minimum, min, sorted)],
-                             ids=["maxplus", "maxmin"])
-    @given(a=st.lists(st.integers(0, 3), max_size=7),
-           b=st.lists(st.integers(0, 3), max_size=7),
+    # Every operand the solver passes has a cell.
+    @given(a=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+           b=st.lists(st.integers(0, 3), min_size=1, max_size=7),
            data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_naive(self, op, ref, rows, a, b, data):
-        a, b = rows(a), rows(b)
+    def test_matches_naive_maxplus(self, a, b, data):
         limit = data.draw(st.integers(0, len(a) + len(b) + 2))
         # The result stops at the last cell with a split, or at the limit.
-        out_len = min(limit, len(a) + len(b) - 1) if a and b else 0
+        out_len = min(limit, len(a) + len(b) - 1)
         # Both operand orders, so each side is the shorter one in turn.
         for x, y in ((a, b), (b, a)):
-            out, arg = _convolve(op, np.array(x, dtype=np.int64),
+            out, arg = _convolve(np.array(x, dtype=np.int64),
                                  np.array(y, dtype=np.int64), limit)
             assert (out.tolist(), arg.tolist()) == \
-                naive_convolve(ref, x, y, out_len)
+                naive_convolve(operator.add, x, y, out_len)
+
+
+def pairwise_merges(rows, limit):
+    """Merge each row into the merge of the rows before it by a plain
+    (max,min) double loop: the order whose smallest splits fix the
+    solver's tie-breaks. Returns every merge's cells and smallest-split
+    arguments, the first row's as it is."""
+    merges = [(list(rows[0]), None)]
+    for row in rows[1:]:
+        prefix = merges[-1][0]
+        out_len = max(0, min(len(row) + len(prefix) - 1, limit))
+        merges.append(naive_convolve(min, row, prefix, out_len))
+    return merges
+
+
+@st.composite
+def branch_rows(draw):
+    """1..6 branches' non-decreasing rows with many ties, and a budget
+    their rows fit: f0 has 1..5 cells up to budget + 1, f1 as many up to
+    budget, so at budget 0 every f1 row is empty."""
+    budget = draw(st.integers(0, 6))
+    count = draw(st.integers(1, 6))
+
+    def row(limit):
+        size = draw(st.integers(min(1, limit), min(5, limit)))
+        return sorted(draw(st.lists(st.integers(0, 3), min_size=size,
+                                    max_size=size)))
+
+    return budget, [(row(budget + 1), row(budget)) for _ in range(count)]
+
+
+class TestParallelMerge:
+    """``combine_parallel`` and the walk's splits against a chain of plain
+    pairwise (max,min) merges, ties included."""
+
+    @given(case=branch_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_iterated_naive(self, case):
+        budget, rows = case
+        sl = solver.combine_parallel(
+            [solver.TableSlice(np.array(f0, dtype=np.int64),
+                               np.array(f1, dtype=np.int64))
+             for f0, f1 in rows], budget)
+        for eps, got in ((0, sl.f0), (1, sl.f1)):
+            merges = pairwise_merges([r[eps] for r in rows], budget + 1 - eps)
+            assert got.tolist() == merges[-1][0]
+
+    @given(case=branch_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_splits_follow_pairwise_argmax(self, case):
+        budget, rows = case
+        for eps in (0, 1):
+            eps_rows = [r[eps] for r in rows]
+            merges = pairwise_merges(eps_rows, budget + 1 - eps)
+            for m in range(len(merges[-1][0])):
+                expected, rest = [0] * len(rows), m
+                for q in range(len(rows) - 1, 0, -1):
+                    expected[q] = merges[q][1][rest]
+                    rest -= expected[q]
+                expected[0] = rest
+                got = solver._branch_splits(
+                    [np.array(r, dtype=np.int64) for r in eps_rows], m)
+                assert got == expected, (eps, m)
 
 
 @st.composite
@@ -425,12 +501,21 @@ class TestAgainstOracle:
 
 @st.composite
 def shaped_trees(draw):
-    """Stars, brooms and deep paths of 2..12 nodes with tiny weights and
-    u == w often. A star folds every branch; a broom folds under a chain."""
+    """Stars, brooms, deep paths and spiders of 2..12 nodes with tiny
+    weights and u == w often. A star folds every branch; a broom folds
+    under a chain; a spider's root merges legs of one to three edges, the
+    one-edge legs capping the leg after them."""
     n = draw(st.integers(2, 12))
-    shape = draw(st.sampled_from(["star", "broom", "path"]))
+    shape = draw(st.sampled_from(["star", "broom", "path", "spider"]))
     if shape == "star":
         parents = {c: 1 for c in range(2, n + 1)}
+    elif shape == "spider":
+        parents, top = {}, 2
+        while top <= n:
+            length = draw(st.integers(1, 3))
+            parents.update((c, 1 if c == top else c - 1)
+                           for c in range(top, min(top + length, n + 1)))
+            top += length
     elif shape == "path":
         parents = {c: c - 1 for c in range(2, n + 1)}
     else:
@@ -476,6 +561,19 @@ def tie_heavy_trees(count=300, n_max=30, seed=2026):
     return trees
 
 
+def larger_trees():
+    """All four shapes at n = 120 and 400, tie-heavy and not, and spiders
+    whose legs have one to three edges or exactly two."""
+    trees = [random_tree(GeneratorConfig(n=n, seed=31 * n + i, w_max=w_max,
+                                         delta_max=w_max, shape=shape))
+             for shape in SHAPES for n in (120, 400)
+             for i, w_max in enumerate((2, 100))]
+    trees += [make_spider(legs, seed=legs, leg_edges=(1, 2, 2, 3))
+              for legs in (40, 150)]
+    trees += [make_spider(legs, seed=legs) for legs in (60, 500)]
+    return trees
+
+
 class TestTieBreaking:
     # Digest of every (value, sorted set) on the battery as computed by the
     # DP that runs every merge, forced splits included; any reordered tie
@@ -501,6 +599,29 @@ class TestTieBreaking:
         sol = solve_max(tree, 1)
         assert (sol.value, sol.upgraded) == (0, {3})
 
+    # The same digest over larger trees, whose junctions more often merge
+    # three or more branches (64 such junctions here), at ten budgets each
+    # and at the solve_cost witnesses of six targets.
+    LARGER_DIGEST = (
+        "87e9ee3537f3d82414e32b7f52214cb84ed60c3c3dad42adeca9d42c675563b0")
+
+    def test_larger_tree_sets_pinned(self):
+        digest = hashlib.sha256()
+        for tree in larger_trees():
+            cap = len(tree.non_leaves)
+            for k in sorted({0, 1, 2, 3, 5, cap // 10, cap // 4, cap // 2,
+                             3 * cap // 4, cap}):
+                sol = solve_max(tree, k)
+                digest.update(repr((sol.value, sorted(sol.upgraded))).encode())
+            low = evaluate_min_distance(tree, ())
+            high = all_upgraded_min_distance(tree)
+            for target in sorted({low + (high - low) * i // 6
+                                  for i in range(1, 6)} | {high}):
+                res = solve_cost(tree, target)
+                digest.update(repr((res.kstar, res.solution.value,
+                                    sorted(res.solution.upgraded))).encode())
+        assert digest.hexdigest() == self.LARGER_DIGEST
+
 
 def handle_broom():
     """A five-edge handle from the root into a fan of 20 leaves."""
@@ -510,7 +631,9 @@ def handle_broom():
 
 
 class TestForcedSplits:
-    """Branches whose split is forced run no merge and build no chain table."""
+    """Branches whose split is forced run no merge and build no chain table;
+    ``combine_parallel`` runs once per junction with a branch that is not a
+    leaf edge, and returns a lone branch as it is."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -535,7 +658,7 @@ class TestForcedSplits:
         k = len(tree.non_leaves)
         assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls == {"chain_g_table": 1, "combine_serial": 1,
-                         "combine_parallel": 0}
+                         "combine_parallel": 1}
 
     def test_edges_into_junctions_run_no_serial_merge(self, calls):
         # The root's three children are junctions fanning into four leaves
@@ -548,47 +671,52 @@ class TestForcedSplits:
         for k in budgets:
             assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls == {"chain_g_table": 0, "combine_serial": 0,
-                         "combine_parallel": 2 * len(budgets)}
+                         "combine_parallel": len(budgets)}
 
     def test_serial_merge_runs_one_convolution(self, calls, monkeypatch):
         # The eps=1 rows are the eps=0 rows raised by the head gain, so the
         # broom's one serial merge convolves once.
-        ops = []
+        convolutions = []
 
-        def wrapper(op, *args, _real=solver._convolve):
-            ops.append(op)
-            return _real(op, *args)
+        def wrapper(*args, _real=solver._convolve):
+            convolutions.append(len(args[0]))
+            return _real(*args)
 
         monkeypatch.setattr(solver, "_convolve", wrapper)
         tree = handle_broom()
         k = len(tree.non_leaves)
         assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
         assert calls["combine_serial"] == 1
-        assert ops == [np.add]
+        assert convolutions == [5]  # the handle's g0 row
 
     def test_leading_leaf_edge_caps_first_branch(self, calls):
         # The root's lowest-id child 2 is a leaf edge, then comes the chain
-        # 1-3-4-5: the edge caps the chain's rows and no parallel merge
-        # runs, so the walk gives the chain all the budget.
+        # 1-3-4-5: the edge caps the chain's rows, the merge of that lone
+        # branch is the branch, no rows are kept, and the walk gives the
+        # chain all the budget.
         tree = build_tree([(2, 1, 3, 5), (3, 1, 1, 4), (4, 3, 2, 6),
                            (5, 4, 1, 3)], root=1)
-        for k in range(len(tree.non_leaves) + 1):
+        budgets = range(len(tree.non_leaves) + 1)
+        for k in budgets:
             assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
-            assert build_tables(tree, k).parallel == {}
-        assert calls["combine_parallel"] == 0
+            assert build_tables(tree, k).branches == {}
+        # One merge per table pass: solve_max's and build_tables'.
+        assert calls["combine_parallel"] == 2 * len(budgets)
 
 
 class TestMonotoneRows:
-    """The capped sorted (max,min) merge requires non-decreasing rows."""
+    """The sorted-union (max,min) merge requires non-decreasing rows."""
 
     def test_parallel_operands_non_decreasing(self, monkeypatch):
         checked = []
         real = solver.combine_parallel
 
-        def wrapper(branch, prefix, budget):
-            for row in (branch.f0, branch.f1, prefix.f0, prefix.f1):
-                checked.append(bool(np.all(row[1:] >= row[:-1])))
-            return real(branch, prefix, budget)
+        def wrapper(branches, budget):
+            merged = real(branches, budget)
+            for sl in (*branches, merged):
+                for row in (sl.f0, sl.f1):
+                    checked.append(bool(np.all(row[1:] >= row[:-1])))
+            return merged
 
         monkeypatch.setattr(solver, "combine_parallel", wrapper)
         trees = tie_heavy_trees() + [
