@@ -55,28 +55,12 @@ def _digest(tree: RootedTree) -> dict:
     }
 
 
-def _load(args) -> RootedTree:
-    return load_instance(args.instance, scale=getattr(args, "scale", None))
-
-
-def _scaled_target(args) -> int:
-    scale = getattr(args, "scale", None)
-    if scale is None:
-        try:
-            return int(args.target)
-        except ValueError:
-            raise InstanceError(
-                f"target must be an integer (got {args.target!r}); "
-                "use --scale for decimals") from None
-    return scaled_integer(args.target, scale, "target")
-
-
 def _time_note(ms: float) -> None:
     print(f"time_ms={ms:.3f}", file=sys.stderr)
 
 
 def cmd_solve_max(args) -> int:
-    tree = _load(args)
+    tree = load_instance(args.instance, args.scale)
     start = time.perf_counter()
     sol = solve_max(tree, args.budget)
     _time_note((time.perf_counter() - start) * 1000)
@@ -88,8 +72,8 @@ def cmd_solve_max(args) -> int:
 
 
 def cmd_solve_cost(args) -> int:
-    tree = _load(args)
-    target = _scaled_target(args)
+    tree = load_instance(args.instance, args.scale)
+    target = scaled_integer(args.target, args.scale, "target")
     start = time.perf_counter()
     result = solve_cost(tree, target)
     _time_note((time.perf_counter() - start) * 1000)
@@ -119,7 +103,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tree = _load(args)
+    tree = load_instance(args.instance, args.scale)
     report = {"command": "verify", "instance": args.instance, **_digest(tree)}
     start = time.perf_counter()
     # The oracle runs first: it rejects a tree over its size limit at once,
@@ -128,14 +112,13 @@ def cmd_verify(args) -> int:
         oracle, _ = brute_force_max(tree, args.budget)
         dp = solve_max(tree, args.budget).value
         report.update(budget=args.budget, dp=dp, oracle=oracle)
-        ok = dp == oracle
     else:
-        target = _scaled_target(args)
+        target = scaled_integer(args.target, args.scale, "target")
         oracle = brute_force_cost(tree, target)
         dp = solve_cost(tree, target).kstar
         report.update(target=target, dp_kstar=dp, oracle_kstar=oracle)
-        ok = dp == oracle
     _time_note((time.perf_counter() - start) * 1000)
+    ok = dp == oracle
     report["verdict"] = "MATCH" if ok else "MISMATCH"
     _emit(report, args.format)
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -167,7 +150,7 @@ def _layers(tree: RootedTree, dec: Decomposition) -> dict[int, int]:
 
 
 def cmd_inspect(args) -> int:
-    tree = _load(args)
+    tree = load_instance(args.instance, args.scale)
     dec = decompose(tree)
     layer = _layers(tree, dec)
     chains = [_chain_report(c) for _, c in sorted(dec.chains.items())]
@@ -190,78 +173,62 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _nonneg(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return number
-
-
-def _positive(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return number
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_scale(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=_positive, default=None,
-                        help="fixed-point factor allowing decimal weights")
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return number
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Shared arguments, declared once: --format for every subcommand, and
+    # the instance file with its --scale for those that read one.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    reads = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    reads.add_argument("instance")
+    reads.add_argument("--scale", type=_at_least(1), default=None,
+                       help="fixed-point factor allowing decimal weights")
+
     parser = argparse.ArgumentParser(
         prog="interdict",
         description="Exact shortest-path interdiction on rooted trees "
                     "via node upgrades.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-max", help="maximize the shortest root-leaf "
-                                         "distance under an upgrade budget")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=_nonneg, required=True)
-    _add_format(p)
-    _add_scale(p)
+    p = sub.add_parser("solve-max", parents=[reads],
+                       help="maximize the shortest root-leaf distance under "
+                            "an upgrade budget")
+    p.add_argument("--budget", type=_at_least(0), required=True)
     p.set_defaults(func=cmd_solve_max)
 
-    p = sub.add_parser("solve-cost", help="fewest upgrades reaching a "
-                                          "target distance")
-    p.add_argument("instance")
+    p = sub.add_parser("solve-cost", parents=[reads],
+                       help="fewest upgrades reaching a target distance")
     p.add_argument("--target", required=True)
-    _add_format(p)
-    _add_scale(p)
     p.set_defaults(func=cmd_solve_cost)
 
-    p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--nodes", type=_positive, required=True)
+    p = sub.add_parser("gen", parents=[fmt], help="generate a random instance")
+    p.add_argument("--nodes", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--wmax", type=_nonneg, default=DEFAULT_W_MAX)
-    p.add_argument("--dmax", type=_nonneg, default=DEFAULT_DELTA_MAX)
+    p.add_argument("--wmax", type=_at_least(0), default=DEFAULT_W_MAX)
+    p.add_argument("--dmax", type=_at_least(0), default=DEFAULT_DELTA_MAX)
     p.add_argument("--shape", choices=SHAPES, default="uniform-attachment")
     p.add_argument("-o", "--out", default=None,
                    help="output file (default: instance text to stdout)")
-    _add_format(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="cross-check the solver against the "
-                                      "brute-force oracle")
-    p.add_argument("instance")
+    p = sub.add_parser("verify", parents=[reads], help="cross-check the "
+                       "solver against the brute-force oracle")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--budget", type=_nonneg, default=None)
+    group.add_argument("--budget", type=_at_least(0), default=None)
     group.add_argument("--target", default=None)
-    _add_format(p)
-    _add_scale(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("inspect", help="print layers, chains and junction "
-                                       "order for debugging")
-    p.add_argument("instance")
-    _add_format(p)
-    _add_scale(p)
+    p = sub.add_parser("inspect", parents=[reads], help="print layers, "
+                       "chains and junction order for debugging")
     p.set_defaults(func=cmd_inspect)
 
     return parser

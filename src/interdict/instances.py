@@ -32,15 +32,22 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise ParseError(f"expected integer {what}, got {token!r}", line) from None
 
 
-def scaled_integer(token: str, scale: int, what: str) -> int:
-    """The integer ``token * scale`` for an integer, decimal or fraction token.
+def scaled_integer(token: str, scale: int | None, what: str) -> int:
+    """The integer ``token * scale`` for an integer, decimal or fraction token;
+    with no ``scale``, the token must be an integer.
 
-    Raises :class:`InstanceError` naming ``what`` when the token is not a
-    number, has a zero denominator, is not integral at ``scale``, or has a
-    decimal exponent larger in magnitude than ``sys.get_int_max_str_digits()``.
-    The exponent is checked first: the exact value of ``1e999999999`` takes
-    minutes to build.
+    Raises :class:`InstanceError` naming ``what`` when the token is not an
+    integer and no scale is given, is not a number, has a zero denominator,
+    is not integral at ``scale``, or has a decimal exponent larger in
+    magnitude than ``sys.get_int_max_str_digits()``. The exponent is checked
+    first: the exact value of ``1e999999999`` takes minutes to build.
     """
+    if scale is None:
+        try:
+            return int(token)
+        except ValueError:
+            raise InstanceError(f"expected integer {what}, got {token!r}; "
+                                "decimals need a scale") from None
     exponent = _EXPONENT.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -62,8 +69,6 @@ def scaled_integer(token: str, scale: int, what: str) -> int:
 
 
 def _parse_weight(token: str, what: str, line: int, scale: int | None) -> int:
-    if scale is None:
-        return _parse_int(token, what, line)
     try:
         return scaled_integer(token, scale, what)
     except InstanceError as exc:

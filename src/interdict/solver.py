@@ -36,7 +36,7 @@ with K unclamped, as :func:`solve_cost` runs it.
 Where a merge has only one split, none runs and nothing is kept:
 
 * a chain ending in a leaf has nothing below it, so its branch row is its
-  g-rows and the walk gives the chain the whole branch budget;
+  g-rows;
 * a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
   ``[u]`` and takes ``k1 = eps``, so its part in the parallel merge is a
   cap, ``min(f0, w)`` and ``min(f1, u)``. A run of consecutive leaf edges
@@ -45,10 +45,16 @@ Where a merge has only one split, none runs and nothing is kept:
   associative, so this gives the cells and ties of a merge of every edge,
   and no chain table is built for the edge;
 * a junction with one branch that is not a leaf edge passes that
-  branch's rows up, and the walk gives it the whole budget;
-* a one-edge chain into a junction ``h`` also takes ``k_chain = eps``: its
-  branch rows are the row below ``h`` shifted by ``w`` and by ``u``, with
-  no chain table and no serial merge.
+  branch's rows up;
+* a one-edge chain into a junction ``h`` has the rows ``[w]`` and ``[u]``
+  too: its branch rows are the row below ``h`` shifted by ``w`` and by
+  ``u``, with no chain table and no serial merge.
+
+The walk gives a chain one share of its branch's budget ``eps + i``:
+``k_chain = eps + serial[h][i]`` where the chain down to ``h`` ran a serial
+merge, and otherwise all the chain can hold, ``eps + min(i, beta - 1)``. That is the whole branch budget
+for a chain ending in a leaf and ``eps`` for a one-edge chain into a
+junction.
 
 The walk reads only the split of each merge, so a value row is dropped as
 soon as the merge above it has read it. What a solve keeps is one int32
@@ -151,12 +157,11 @@ class DpTables:
     positive budget, and everywhere else the split is forced.
     ``subtree_eps[v]`` records, per budget, whether the best table of the
     subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the optimum with
-    ``k`` upgrades.
+    ``k`` upgrades, for every ``k`` up to the clamped budget.
     """
 
     tree: RootedTree
     decomposition: Decomposition
-    budget: int
     serial: dict[int, np.ndarray]
     branches: dict[int, tuple[TableSlice, ...]]
     subtree_eps: dict[int, np.ndarray]
@@ -348,8 +353,7 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
             f"internal error: root row has {len(root_best)} cells, "
             f"expected {k_cap + 1}")
 
-    return DpTables(tree, dec, k_cap, serial, branches, subtree_eps,
-                    root_best)
+    return DpTables(tree, dec, serial, branches, subtree_eps, root_best)
 
 
 def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
@@ -371,15 +375,11 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
                                      for sl in tables.branches[v]], k - eps)
         for h, i in zip(real, splits):
             chain = dec.chains[h]
-            k1 = i + eps
-            if tree.is_leaf(h):
-                k_chain = k1
-            elif chain.beta == 1:
-                k_chain = eps  # one edge into a junction: v alone, if anything
-            else:
-                k_chain = int(tables.serial[h][i]) + eps
+            # With no serial merge, the chain takes all the budget it holds.
+            k_chain = eps + (int(tables.serial[h][i]) if h in tables.serial
+                             else min(i, chain.beta - 1))
             upgraded |= chain.upgrade_set(eps, k_chain)
-            k_below = k1 - k_chain
+            k_below = i + eps - k_chain
             if k_below > 0:
                 eps_below = int(tables.subtree_eps[h][k_below])
                 stack.append((h, eps_below, k_below))
@@ -387,7 +387,8 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
 
 
 def _read_solution(tables: DpTables, k: int) -> Solution:
-    """Optimum with at most ``k <= tables.budget`` upgrades and its set.
+    """Optimum with at most ``k < len(tables.root_best)`` upgrades and its
+    set.
 
     The table value is re-checked against the direct evaluator before
     returning, so a solution can never silently disagree with its set.
@@ -410,7 +411,7 @@ def solve_max(tree: RootedTree, budget: int) -> Solution:
     The value is re-checked against the direct evaluator before returning.
     """
     tables = build_tables(tree, budget)
-    return _read_solution(tables, tables.budget)
+    return _read_solution(tables, len(tables.root_best) - 1)
 
 
 @dataclass(frozen=True)

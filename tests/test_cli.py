@@ -326,6 +326,26 @@ def test_zero_denominator_target_is_input_error(capsys, ex1_file, command):
     assert "error:" in err and "zero denominator" in err
 
 
+@pytest.mark.parametrize("field", ["base length", "target"])
+def test_decimal_needs_scale(capsys, tmp_path, field):
+    # A decimal weight fails every file-reading subcommand without --scale, a
+    # decimal target the two that take one; all four accept the shared
+    # --scale and --format options.
+    path = tmp_path / "dec.txt"
+    path.write_text("2 1\n2 1 1.5 3\n" if field == "base length" else EX1_TEXT)
+    target = "1.5" if field == "target" else "1"
+    queries = {"solve-max": ["--budget", "1"], "solve-cost": ["--target", target],
+               "verify": ["--target", target], "inspect": []}
+    for command, query in queries.items():
+        argv = [command, str(path), *query]
+        if field == "base length" or "--target" in query:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", command
+            assert f"{field}, got '1.5'; decimals need a scale" in err, err
+        code, out, _ = run_cli(capsys, *argv, "--scale", "10", "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == command
+
+
 @pytest.mark.parametrize("case", ["target", "negative_target", "weight"])
 def test_huge_decimal_exponent_is_input_error(ex1_file, tmp_path, case):
     # The exact value of 1e999999999 would take minutes to build.
