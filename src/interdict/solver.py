@@ -39,33 +39,40 @@ Where a merge has only one split, none runs and nothing is kept:
   g-rows;
 * a *leaf edge*, a one-edge chain down to a leaf, has the rows ``[w]`` and
   ``[u]`` and takes ``k1 = eps``, so its part in the parallel merge is a
-  cap, ``min(f0, w)`` and ``min(f1, u)``. A run of consecutive leaf edges
-  caps once, at its smallest ``w`` and ``u``: a run caps the branch after
-  it, and a run at the end caps the junction's row. ``min`` is
-  associative, so this gives the cells and ties of a merge of every edge,
-  and no chain table is built for the edge;
+  cap, ``min(f0, w)`` and ``min(f1, u)``. ``min`` is associative, so the
+  leaf edges cap the junction's row once, the merge of the other
+  branches' uncapped rows, at their smallest ``w`` and ``u``; each merging
+  branch records the leaf-edge minima before it, from which the walk
+  recovers the ties of a merge of every edge. No chain table is built for
+  the edge;
 * a junction with one branch that is not a leaf edge passes that
-  branch's rows up;
+  branch's rows up, capped by its leaf edges;
 * a one-edge chain into a junction ``h`` has the rows ``[w]`` and ``[u]``
   too: its branch rows are the row below ``h`` shifted by ``w`` and by
   ``u``, with no chain table and no serial merge.
 
 The walk gives a chain one share of its branch's budget ``eps + i``:
 ``k_chain = eps + serial[h][i]`` where the chain down to ``h`` ran a serial
-merge, and otherwise all the chain can hold, ``eps + min(i, beta - 1)``. That is the whole branch budget
-for a chain ending in a leaf and ``eps`` for a one-edge chain into a
-junction.
+merge, and otherwise all the chain can hold, ``eps + min(i, beta - 1)``.
+That is the whole branch budget for a chain ending in a leaf and ``eps``
+for a one-edge chain into a junction.
 
 The walk reads only the split of each merge, so a value row is dropped as
 soon as the merge above it has read it. What a solve keeps is one int32
-backpointer row per serial merge that ran, the (capped) rows of the
-branches at each junction where two or more merge, one int8 eps row per
-junction and the root's budget-to-value row. From the branch rows the walk
-recomputes the splits of merging the branches one at a time, left to
-right: going from the last branch down with remainder ``m``, branch q
-takes the smallest index of its row that reaches the merged value of
-branches 1..q at ``m`` and leaves the rest within branches 1..q-1's
-capacity, and branch 1 takes what is left.
+backpointer row per serial merge that ran, one record per junction (its
+branches, and at each junction where two or more merge their leaf-edge
+minima and uncapped eps=0 rows), one int8 eps row per junction and the
+root's budget-to-value row. A branch's eps=1 row is its eps=0 row raised
+by the chain's head gain, so the walk derives it rather than keeping it.
+The walk finds a junction's branches in its record, not in the tree, and
+from the branch rows it recomputes the splits of merging the branches
+and the leaf edges one at a time, in ``cd`` order. Going from the last
+branch down with remainder ``m``, branch q takes the smallest index of
+its row that reaches the merged value of everything up to it at ``m``
+and leaves the rest within branches 1..q-1's capacity, each leaf edge
+takes 0, and branch 1 takes what is left. That merged value is at most
+the leaf-edge minimum before branch q, so the search in the uncapped row
+finds the index the capped row would give.
 
 Ties in every argmax prefer eps=0, then the smallest budget for the
 chain, or for the later branch, which makes reported upgrade sets
@@ -151,10 +158,14 @@ class DpTables:
 
     ``serial[h]`` holds the backpointers of the serial merge of the chain
     down to ``h``, present where the chain has two or more edges and ends
-    in a junction. ``branches[v]`` holds the rows of junction ``v``'s
-    branches that are not leaf edges, each capped by the leaf edges before
-    it, in ``cd`` order; they are kept where two or more merge at a
-    positive budget, and everywhere else the split is forced.
+    in a junction. ``branches[v]`` is junction ``v``'s record
+    ``(heads, caps, rows)``: ``heads`` are the bottoms of its chains that
+    are not leaf edges, in ``cd`` order; ``caps[q]`` is the smallest ``w``
+    and the smallest ``u`` over the leaf edges before ``heads[q]``, or
+    ``_INT64_MAX`` where there are none; ``rows[q]`` is that branch's
+    uncapped eps=0 row. ``caps`` and ``rows`` are kept where two or more
+    branches merge at a positive budget and are ``()`` elsewhere, where
+    the split is forced.
     ``subtree_eps[v]`` records, per budget, whether the best table of the
     subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the optimum with
     ``k`` upgrades, for every ``k`` up to the clamped budget.
@@ -163,7 +174,7 @@ class DpTables:
     tree: RootedTree
     decomposition: Decomposition
     serial: dict[int, np.ndarray]
-    branches: dict[int, tuple[TableSlice, ...]]
+    branches: dict[int, tuple[tuple, tuple, tuple]]
     subtree_eps: dict[int, np.ndarray]
     root_best: np.ndarray
 
@@ -234,16 +245,20 @@ def combine_parallel(branches: list[TableSlice], budget: int) -> TableSlice:
                       _merge_rows([b.f1 for b in branches], budget))
 
 
-def _branch_splits(rows: list[np.ndarray], m: int) -> list[int]:
-    """Per-row indexes of the maximizing split of cell ``m`` of the rows'
-    merge, as the left-to-right pairwise merges would choose them: merging
-    row q into the merge of rows 1..q-1, the split gives row q its
-    smallest index reaching the merged value that leaves the rest inside
-    the earlier rows. Row 1 takes what is left."""
+def _branch_splits(rows: list[np.ndarray], caps: list[int],
+                   m: int) -> list[int]:
+    """Per-row indexes of the maximizing split of cell ``m`` of the merge
+    of the rows and the one-cell rows of leaf edges, as the left-to-right
+    pairwise merges would choose them; ``caps[q]`` is the smallest cell of
+    the leaf edges before row q. Merging row q into the merge of everything
+    before it, the split gives row q its smallest index reaching the merged
+    value that leaves the rest inside the earlier rows; row 1 takes what is
+    left. That value is at most ``caps[q]``, so the search in the uncapped
+    row finds the index the capped row would give."""
     splits = [0] * len(rows)
     ends = np.cumsum([row.size for row in rows])
     cells = np.concatenate(rows)
-    lasts = np.minimum.accumulate(cells[ends - 1])
+    lasts = np.minimum.accumulate(np.minimum(cells[ends - 1], caps))
     for q in range(len(rows) - 1, 0, -1):
         if not m:
             break
@@ -271,31 +286,14 @@ def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
     return best, eps
 
 
-def _is_leaf_edge(tree: RootedTree, chain: Chain) -> bool:
-    """A one-edge chain down to a leaf, whose split is always forced."""
-    return chain.beta == 1 and tree.is_leaf(chain.bottom)
-
-
-def _cap(sl: TableSlice, tree: RootedTree, run: list[int]) -> TableSlice:
-    """Apply a run of leaf edges, whose rows are ``[w]`` and ``[u]``:
-    ``min(f0, w)`` and ``min(f1, u)`` at the run's smallest ``w`` and
-    ``u``. With no run, ``sl`` is returned as it is."""
-    if not run:
-        return sl
-    # map() rather than a generator: a frame step per edge showed in the
-    # solve time of deep trees.
-    w, u = (min(map(lengths.__getitem__, run)) for lengths in (tree.w, tree.u))
-    return TableSlice(np.minimum(sl.f0, w), np.minimum(sl.f1, u))
-
-
 def build_tables(tree: RootedTree, budget: int) -> DpTables:
     """Run the full bottom-up pass; budgets above the upgradable count clamp.
 
     Tables hold int64 cells, each bounded by the longest all-upgraded
     root-leaf path; trees where that path exceeds the int64 range raise
     :class:`InstanceError`. Each value row lives only until the merge above
-    it has read it, except the branch rows kept where two or more branches
-    merge; backpointers are int32 and ``subtree_eps`` rows int8.
+    it has read it, except the eps=0 branch rows kept where two or more
+    branches merge; backpointers are int32 and ``subtree_eps`` rows int8.
     A chain ending in a leaf runs no serial merge: its g-rows are the
     branch row.
     """
@@ -310,43 +308,46 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     k_cap = min(budget, len(tree.non_leaves))
 
     serial: dict[int, np.ndarray] = {}
-    branches: dict[int, tuple[TableSlice, ...]] = {}
+    branches: dict[int, tuple[tuple, tuple, tuple]] = {}
     subtree_best: dict[int, np.ndarray] = {}  # junctions not yet merged
     subtree_eps: dict[int, np.ndarray] = {}
+    w, u, leaves = tree.w, tree.u, tree.leaves
 
     for v in dec.order:
-        rows: list[TableSlice] = []
-        run: list[int] = []  # the leaf edges since the last branch
+        found = []  # per branch: its chain's bottom, leaf-edge minima, rows
+        cap_w = cap_u = _INT64_MAX  # over the leaf edges so far
         for h in dec.cd[v]:
             chain = dec.chains[h]
-            if _is_leaf_edge(tree, chain):
-                # Its rows are [w] and [u] and its only split is k1 = eps,
-                # so its merge is a cap. A run of leaf edges caps once: the
-                # branch after it, else the junction's row.
-                run.append(h)
+            if chain.beta == 1 and h in leaves:
+                # A leaf edge: its rows are [w] and [u] and its only split
+                # is k1 = eps, so its merge is a cap on the junction's row.
+                # Comparisons rather than min(): a call per edge showed in
+                # the solve time of brooms.
+                cap_w = w[h] if w[h] < cap_w else cap_w
+                cap_u = u[h] if u[h] < cap_u else cap_u
                 continue
             if chain.beta == 1:
                 # One edge into a junction: its rows are [w] and [u], so its
                 # only split is k_chain = eps and the serial merge is a shift.
                 below = subtree_best.pop(h)
-                sl = TableSlice(below[:k_cap + 1] + tree.w[h],
-                                below[:k_cap] + tree.u[h])
+                sl = TableSlice(below[:k_cap + 1] + w[h], below[:k_cap] + u[h])
             else:
                 ct = chain_g_table(chain, k_cap)
-                if tree.is_leaf(h):
+                if h in leaves:
                     sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on chain
                 else:
                     sl = combine_serial(ct, subtree_best.pop(h), k_cap)
                     serial[h] = sl.bp
-            rows.append(_cap(sl, tree, run))
-            run = []
-        if len(rows) > 1 and k_cap:
-            branches[v] = tuple(rows)
-        # All leaf edges: the run caps one-cell rows that bound nothing.
-        merged = (combine_parallel(rows, k_cap) if rows else TableSlice(
+            found.append((h, (cap_w, cap_u), sl))
+        heads, caps, rows = zip(*found) if found else ((), (), ())
+        branches[v] = ((heads, caps, tuple(r.f0 for r in rows))
+                       if len(rows) > 1 and k_cap else (heads, (), ()))
+        # Only leaf edges: rows that bound nothing, which the cap then sets.
+        merged = (combine_parallel(list(rows), k_cap) if rows else TableSlice(
             np.full(1, _INT64_MAX, dtype=np.int64),
             np.full(min(1, k_cap), _INT64_MAX, dtype=np.int64)))
-        subtree_best[v], subtree_eps[v] = _collapse(_cap(merged, tree, run))
+        subtree_best[v], subtree_eps[v] = _collapse(TableSlice(
+            np.minimum(merged.f0, cap_w), np.minimum(merged.f1, cap_u)))
     root_best = subtree_best.pop(tree.root)
     if len(root_best) != k_cap + 1:
         raise RuntimeError(
@@ -359,7 +360,8 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
 def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
     """Walk the splits down from the root cell for budget ``k_root`` and
     materialize the upgrade set."""
-    dec = tables.decomposition
+    chains = tables.decomposition.chains
+    budget = len(tables.root_best) - 1
     tree = tables.tree
     upgraded: set[int] = set()
     stack = [(tree.root, int(tables.subtree_eps[tree.root][k_root]), k_root)]
@@ -367,14 +369,15 @@ def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
         v, eps, k = stack.pop()
         if eps:
             upgraded.add(v)
-        # A leaf edge takes k1 = eps: v alone, if anything.
-        real = [h for h in dec.cd[v] if not _is_leaf_edge(tree, dec.chains[h])]
-        splits = [k - eps] + [0] * (len(real) - 1)  # one branch, or budget 0
-        if v in tables.branches:
-            splits = _branch_splits([sl.f1 if eps else sl.f0
-                                     for sl in tables.branches[v]], k - eps)
-        for h, i in zip(real, splits):
-            chain = dec.chains[h]
+        heads, caps, rows = tables.branches[v]
+        splits = [k - eps]  # one branch, or no budget to split
+        if rows:  # an eps=1 row is the eps=0 row raised by the head gain
+            splits = _branch_splits(
+                [f0[:budget] + chains[h].head_delta if eps else f0
+                 for h, f0 in zip(heads, rows)],
+                [cap[eps] for cap in caps], k - eps)
+        for h, i in zip(heads, splits):
+            chain = chains[h]
             # With no serial merge, the chain takes all the budget it holds.
             k_chain = eps + (int(tables.serial[h][i]) if h in tables.serial
                              else min(i, chain.beta - 1))

@@ -234,8 +234,8 @@ class TestInt64Range:
 
 
 class TestRetainedMemory:
-    """A solve keeps backpointers, eps rows, the root row and the rows of
-    branches that merge at a junction, not merged values."""
+    """A solve keeps backpointers, eps rows, the root row and the eps=0
+    rows of branches that merge at a junction, not merged values."""
 
     def test_caterpillar_tables_stay_small(self):
         # About 29 MB either way. Keeping every merge's value rows retains
@@ -274,8 +274,8 @@ class TestRetainedMemory:
 
     def test_wide_junction_keeps_branch_rows_only(self):
         # A root with 2000 legs of two edges, at the full budget: about
-        # 1.2 MiB for the legs' rows, where pairwise merges kept 16.4 MiB
-        # of backpointers for prefixes of up to 4001 cells.
+        # 0.99 MiB for the legs' eps=0 rows, where pairwise merges kept
+        # 16.4 MiB of backpointers for prefixes of up to 4001 cells.
         tree = make_spider(2000)
         tracemalloc.start()
         try:
@@ -285,7 +285,20 @@ class TestRetainedMemory:
             tracemalloc.stop()
         assert retained < 4 * 2**20
         assert list(tables.branches) == [tree.root]
-        assert len(tables.branches[tree.root]) == 2000
+        heads, caps, rows = tables.branches[tree.root]
+        assert len(heads) == len(caps) == len(rows) == 2000
+
+    def test_merging_junctions_keep_eps_zero_rows_only(self):
+        # The eps=1 row of a branch is its eps=0 row raised by the head
+        # gain, so only the eps=0 rows are kept: 1.23 MiB here, against
+        # 2.46 MiB when both rows of every merging branch were kept. nbytes
+        # rather than tracemalloc, which slows the pass several times.
+        tree = random_tree(GeneratorConfig(n=20_000, seed=5,
+                                           shape="binary-ish"))
+        tables = build_tables(tree, 2000)
+        kept = sum(row.nbytes for _, _, rows in tables.branches.values()
+                   for row in rows)
+        assert kept < 1.5 * 2**20
 
 
 class TestInvariantsSurviveOptimize:
@@ -396,9 +409,11 @@ def pairwise_merges(rows, limit):
 
 @st.composite
 def branch_rows(draw):
-    """1..6 branches' non-decreasing rows with many ties, and a budget
-    their rows fit: f0 has 1..5 cells up to budget + 1, f1 as many up to
-    budget, so at budget 0 every f1 row is empty."""
+    """1..6 branches' non-decreasing rows with many ties, a budget their
+    rows fit, and the leaf edges around them: f0 has 1..5 cells up to
+    budget + 1, f1 as many up to budget, so at budget 0 every f1 row is
+    empty. ``leaves[q]`` lists the (w, u) of the 0..2 leaf edges before
+    branch q, and the last entry those after the last branch."""
     budget = draw(st.integers(0, 6))
     count = draw(st.integers(1, 6))
 
@@ -407,7 +422,34 @@ def branch_rows(draw):
         return sorted(draw(st.lists(st.integers(0, 3), min_size=size,
                                     max_size=size)))
 
-    return budget, [(row(budget + 1), row(budget)) for _ in range(count)]
+    def leaf_edges():
+        edges = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              max_size=2))
+        return [(min(pair), max(pair)) for pair in edges]
+
+    leaves = [leaf_edges() for _ in range(count + 1)]
+    return (budget, [(row(budget + 1), row(budget)) for _ in range(count)],
+            leaves)
+
+
+def with_leaf_edges(rows, leaves, eps):
+    """The eps rows in ``cd`` order: each branch after its leaf edges, each
+    leaf edge a one-cell row, and whether each entry is a branch."""
+    order = []
+    for q, edges in enumerate(leaves):
+        order += [([edge[eps]], False) for edge in edges]
+        if q < len(rows):
+            order.append((rows[q][eps], True))
+    return [row for row, _ in order], [real for _, real in order]
+
+
+def leaf_caps(leaves, eps):
+    """Per branch, the smallest eps cell of the leaf edges before it."""
+    caps, cap = [], INT64_MAX
+    for edges in leaves[:-1]:
+        cap = min([cap] + [edge[eps] for edge in edges])
+        caps.append(cap)
+    return caps
 
 
 class TestParallelMerge:
@@ -417,7 +459,9 @@ class TestParallelMerge:
     @given(case=branch_rows())
     @settings(max_examples=400, deadline=None)
     def test_matches_iterated_naive(self, case):
-        budget, rows = case
+        # The branches merge uncapped; the leaf edges, wherever they sit,
+        # cap the merged row once at their smallest cell.
+        budget, rows, leaves = case
         sl = solver.combine_parallel(
             [solver.TableSlice(np.array(f0, dtype=np.int64),
                                np.array(f1, dtype=np.int64))
@@ -425,23 +469,34 @@ class TestParallelMerge:
         for eps, got in ((0, sl.f0), (1, sl.f1)):
             merges = pairwise_merges([r[eps] for r in rows], budget + 1 - eps)
             assert got.tolist() == merges[-1][0]
+            cap = min([INT64_MAX] + [edge[eps] for edges in leaves
+                                     for edge in edges])
+            merges = pairwise_merges(with_leaf_edges(rows, leaves, eps)[0],
+                                     budget + 1 - eps)
+            assert np.minimum(got, cap).tolist() == merges[-1][0]
 
     @given(case=branch_rows())
     @settings(max_examples=400, deadline=None)
     def test_splits_follow_pairwise_argmax(self, case):
-        budget, rows = case
+        # Each leaf edge is a one-cell row of the pairwise merges, whose
+        # split is 0; the branches' splits come from their uncapped rows
+        # and the leaf edges' running minimum.
+        budget, rows, leaves = case
         for eps in (0, 1):
-            eps_rows = [r[eps] for r in rows]
-            merges = pairwise_merges(eps_rows, budget + 1 - eps)
+            ordered, real = with_leaf_edges(rows, leaves, eps)
+            merges = pairwise_merges(ordered, budget + 1 - eps)
             for m in range(len(merges[-1][0])):
-                expected, rest = [0] * len(rows), m
-                for q in range(len(rows) - 1, 0, -1):
-                    expected[q] = merges[q][1][rest]
-                    rest -= expected[q]
+                expected, rest = [0] * len(ordered), m
+                for j in range(len(ordered) - 1, 0, -1):
+                    expected[j] = merges[j][1][rest]
+                    rest -= expected[j]
                 expected[0] = rest
+                assert not any(i for i, r in zip(expected, real) if not r)
                 got = solver._branch_splits(
-                    [np.array(r, dtype=np.int64) for r in eps_rows], m)
-                assert got == expected, (eps, m)
+                    [np.array(r[eps], dtype=np.int64) for r in rows],
+                    leaf_caps(leaves, eps), m)
+                assert got == [i for i, r in zip(expected, real) if r], \
+                    (eps, m)
 
 
 @st.composite
@@ -691,21 +746,27 @@ class TestForcedSplits:
 
     def test_leading_leaf_edge_caps_first_branch(self, calls):
         # The root's lowest-id child 2 is a leaf edge, then comes the chain
-        # 1-3-4-5: the edge caps the chain's rows, the merge of that lone
-        # branch is the branch, no rows are kept, and the walk gives the
-        # chain all the budget.
+        # 1-3-4-5: the merge of that lone branch is the branch, the edge
+        # caps the junction's row once at (w, u) = (3, 5), the root's record
+        # holds the chain's bottom 5 alone, with no caps or rows to keep, and
+        # the walk gives the chain all the budget. Uncapped, the row would
+        # be [4, 8, 11, 13].
         tree = build_tree([(2, 1, 3, 5), (3, 1, 1, 4), (4, 3, 2, 6),
                            (5, 4, 1, 3)], root=1)
         budgets = range(len(tree.non_leaves) + 1)
         for k in budgets:
             assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
-            assert build_tables(tree, k).branches == {}
+            tables = build_tables(tree, k)
+            assert tables.branches == {1: ((5,), (), ())}
+            assert tables.root_best.tolist() == [3, 5, 5, 5][:k + 1]
         # One merge per table pass: solve_max's and build_tables'.
         assert calls["combine_parallel"] == 2 * len(budgets)
 
 
 class TestMonotoneRows:
-    """The sorted-union (max,min) merge requires non-decreasing rows."""
+    """The sorted-union (max,min) merge requires non-decreasing rows, and
+    the walk, which keeps only the eps=0 rows, requires each branch's eps=1
+    row to be its eps=0 row raised by one constant."""
 
     def test_parallel_operands_non_decreasing(self, monkeypatch):
         checked = []
@@ -716,6 +777,10 @@ class TestMonotoneRows:
             for sl in (*branches, merged):
                 for row in (sl.f0, sl.f1):
                     checked.append(bool(np.all(row[1:] >= row[:-1])))
+            for sl in branches:
+                raise_by = sl.f1[0] - sl.f0[0] if sl.f1.size else 0
+                checked.append(np.array_equal(
+                    sl.f1, (sl.f0 + raise_by)[:budget]))
             return merged
 
         monkeypatch.setattr(solver, "combine_parallel", wrapper)
