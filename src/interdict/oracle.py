@@ -1,16 +1,18 @@
 """Oracles for testing the fast solvers: exact by enumeration, and a
 node-level reference dynamic program.
 
-Brute force is guarded to small instances. The reference profile runs on
-trees of a few thousand nodes and shares no code with the chain
-decomposition or the solver, so the two DPs check each other. These are
-the independent ground truth the dynamic program and the minimum-budget
-search are verified against.
+Brute force walks one stream of upgrade sets in increasing size and is
+guarded to small instances. The reference profile runs on trees of a few
+thousand nodes and shares no code with the chain decomposition or the
+solver, so the two DPs check each other. These are the independent
+ground truth the dynamic program and the minimum-budget search are
+verified against.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from collections.abc import Iterator
+from itertools import accumulate, chain, combinations
 
 from .errors import TargetUnreachable, TooLargeForOracle, _decimal
 from .tree import RootedTree, all_upgraded_min_distance, evaluate_min_distance
@@ -18,13 +20,19 @@ from .tree import RootedTree, all_upgraded_min_distance, evaluate_min_distance
 ORACLE_LIMIT = 25  # max non-leaf count enumerated
 
 
-def _guard(tree: RootedTree) -> list[int]:
+def _subsets(tree: RootedTree, largest: int) -> Iterator[tuple[int, ...]]:
+    """Every set of at most ``largest`` non-leaf nodes, in increasing size
+    and lexicographically within a size, as one lazy stream.
+
+    Raises :class:`TooLargeForOracle` here, before any set is evaluated.
+    """
     candidates = sorted(tree.non_leaves)
     if len(candidates) > ORACLE_LIMIT:
         raise TooLargeForOracle(
             f"{len(candidates)} non-leaf nodes exceeds the oracle "
             f"limit of {ORACLE_LIMIT}")
-    return candidates
+    sizes = range(min(largest, len(candidates)) + 1)
+    return chain.from_iterable(combinations(candidates, s) for s in sizes)
 
 
 def brute_force_max(tree: RootedTree, budget: int) -> tuple[int, frozenset[int]]:
@@ -33,38 +41,36 @@ def brute_force_max(tree: RootedTree, budget: int) -> tuple[int, frozenset[int]]
     Sets are visited in increasing size, lexicographically within a size,
     and only strict improvements are kept, so ties resolve to the smallest
     set first and the lexicographically first set within that size. Stops
-    early once the all-upgraded ceiling is reached.
+    at the first set that reaches the all-upgraded ceiling, since no later
+    set can improve on it.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    candidates = _guard(tree)
+    subsets = _subsets(tree, budget)
     ceiling = all_upgraded_min_distance(tree)
-    best_value = evaluate_min_distance(tree, ())
-    best_set: frozenset[int] = frozenset()
-    for size in range(1, min(budget, len(candidates)) + 1):
-        if best_value >= ceiling:
-            break
-        for subset in combinations(candidates, size):
-            value = evaluate_min_distance(tree, subset)
-            if value > best_value:
-                best_value = value
-                best_set = frozenset(subset)
+    best_value, best_set = -1, frozenset()  # every value is >= 0
+    for subset in subsets:
+        value = evaluate_min_distance(tree, subset)
+        if value > best_value:
+            best_value, best_set = value, frozenset(subset)
+            if value >= ceiling:
+                break
     return best_value, best_set
 
 
 def brute_force_cost(tree: RootedTree, target: int) -> int:
-    """Smallest budget whose brute-force optimum reaches ``target``."""
+    """Smallest budget whose brute-force optimum reaches ``target``: the
+    size of the first set in the stream whose value reaches it. The sets
+    come in increasing size, so the time grows with the answer."""
     if target < 0:
         raise ValueError(f"target {_decimal(target)} is below 0")
-    candidates = _guard(tree)
+    subsets = _subsets(tree, len(tree.non_leaves))
     ceiling = all_upgraded_min_distance(tree)
     if target > ceiling:
         raise TargetUnreachable(target, ceiling)
-    for k in range(len(candidates) + 1):
-        value, _ = brute_force_max(tree, k)
-        if value >= target:
-            return k
-    raise AssertionError("unreachable: ceiling check guarantees a hit")
+    # The full set reaches the ceiling, so some set reaches the target.
+    return next(len(subset) for subset in subsets
+                if evaluate_min_distance(tree, subset) >= target)
 
 
 def reference_profile(tree: RootedTree,

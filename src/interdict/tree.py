@@ -88,9 +88,6 @@ class RootedTree:
         """Undirected degree: child edges plus the parent edge (if any)."""
         return len(self.children[v]) + (0 if v == self.root else 1)
 
-    def is_leaf(self, v: int) -> bool:
-        return v in self.leaves
-
     def delta(self, edge: int) -> int:
         """Upgrade gain of an edge (child-keyed): u - w."""
         return self.u[edge] - self.w[edge]

@@ -158,8 +158,11 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", str(path), "--budget", "3")
             assert code == 0 and "verdict=MATCH" in out
 
+    # The tree's ceiling is 113: the size check comes first also for a target
+    # above it, where exit 3 (unreachable) would be wrong.
     @pytest.mark.parametrize("query", [["--budget", "3"],
-                                       ["--target", "50"]])
+                                       ["--target", "50"],
+                                       ["--target", "1000"]])
     def test_over_oracle_limit_runs_no_dp(self, capsys, tmp_path,
                                           monkeypatch, query):
         path = tmp_path / "big.txt"

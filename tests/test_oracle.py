@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from interdict import (
@@ -13,8 +15,22 @@ from interdict import (
     solve_cost,
     solve_max,
 )
+import interdict.oracle
 from interdict.oracle import reference_profile
 from conftest import make_spider, make_star
+
+
+def _count_evaluations(monkeypatch):
+    """Record every evaluator call the oracle makes; returns the record."""
+    calls = []
+    evaluate = interdict.oracle.evaluate_min_distance
+
+    def counting(tree, upgraded):
+        calls.append(upgraded)
+        return evaluate(tree, upgraded)
+
+    monkeypatch.setattr(interdict.oracle, "evaluate_min_distance", counting)
+    return calls
 
 
 class TestBruteForceMax:
@@ -43,6 +59,12 @@ class TestBruteForceMax:
         with pytest.raises(TooLargeForOracle):
             brute_force_max(tree, 2)
 
+    def test_stops_at_first_ceiling_set(self, ex1, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        assert brute_force_max(ex1, 5) == (20, frozenset({1, 2, 5, 7}))
+        # 26 sets of size <= 3, then the first 4-set, which reaches 20.
+        assert len(calls) == 27
+
 
 class TestBruteForceCost:
     def test_golden_targets(self, ex1):
@@ -53,6 +75,17 @@ class TestBruteForceCost:
     def test_unreachable(self, ex1):
         with pytest.raises(TargetUnreachable):
             brute_force_cost(ex1, 21)
+
+    def test_size_check_before_unreachable(self):
+        tree = random_tree(GeneratorConfig(n=80, seed=1, shape="caterpillar"))
+        with pytest.raises(TooLargeForOracle):
+            brute_force_cost(tree, all_upgraded_min_distance(tree) + 1)
+
+    def test_enumerates_once(self, ex1, monkeypatch):
+        calls = _count_evaluations(monkeypatch)
+        assert brute_force_cost(ex1, 20) == 4
+        # At most every set of size <= 4 among ex1's 5 non-leaves, once each.
+        assert len(calls) <= sum(math.comb(5, s) for s in range(5))
 
     def test_self_consistency(self, battery):
         for tree in battery[::40]:
