@@ -1,6 +1,7 @@
 """Plain-text instance format shared by the CLI, generator and fixtures.
 
-Layout (whitespace separated, ``#`` starts a comment line)::
+Layout (whitespace separated; a line whose first token starts with ``#``
+is a comment)::
 
     n root
     child parent w u      <- n-1 edge lines
@@ -81,15 +82,13 @@ def parse_instance(text: str, scale: int | None = None) -> RootedTree:
     Raises :class:`ParseError` (with the offending line number) on malformed
     text; structural problems propagate from :func:`build_tree`.
     """
-    header: tuple[int, int] | None = None
+    n = None
     records = []
-    expected = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if header is None:
+        if n is None:
             if len(tokens) != 2:
                 raise ParseError("header must be 'n root'", line_no)
             n = _parse_int(tokens[0], "node count", line_no)
@@ -98,12 +97,10 @@ def parse_instance(text: str, scale: int | None = None) -> RootedTree:
                 raise ParseError(f"node count must be >= 2, got {n}", line_no)
             if root < 1:
                 raise ParseError(f"root id must be positive, got {root}", line_no)
-            header = (n, root)
-            expected = n - 1
             continue
-        if len(records) == expected:
+        if len(records) == n - 1:
             raise ParseError(
-                f"unexpected extra line; {expected} edge lines already read", line_no)
+                f"unexpected extra line; {n - 1} edge lines already read", line_no)
         if len(tokens) != 4:
             raise ParseError("edge line must be 'child parent w u'", line_no)
         child = _parse_int(tokens[0], "child id", line_no)
@@ -114,17 +111,12 @@ def parse_instance(text: str, scale: int | None = None) -> RootedTree:
         uv = _parse_weight(tokens[3], "upgraded length", line_no, scale)
         records.append((child, par, wv, uv))
 
-    if header is None:
+    if n is None:
         raise ParseError("empty instance", 1)
-    n, root = header
     if len(records) != n - 1:
         raise ParseError(
             f"expected {n - 1} edge lines, found {len(records)}", 1)
-    tree = build_tree(records, root)
-    if tree.node_count != n:
-        raise ParseError(
-            f"header says {n} nodes but edges span {tree.node_count}", 1)
-    return tree
+    return build_tree(records, root)
 
 
 def format_instance(tree: RootedTree) -> str:

@@ -84,14 +84,6 @@ class RootedTree:
             order.extend(self.children[v])
         self.bfs_order = tuple(order)
 
-    def degree(self, v: int) -> int:
-        """Undirected degree: child edges plus the parent edge (if any)."""
-        return len(self.children[v]) + (0 if v == self.root else 1)
-
-    def delta(self, edge: int) -> int:
-        """Upgrade gain of an edge (child-keyed): u - w."""
-        return self.u[edge] - self.w[edge]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RootedTree(n={self.node_count}, root={self.root}, "
                 f"leaves={len(self.leaves)})")

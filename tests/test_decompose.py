@@ -17,6 +17,16 @@ def layers(tree):
     return _layers(tree, decompose(tree))
 
 
+def degree(tree, v):
+    """Undirected degree: child edges plus the parent edge, if any."""
+    return len(tree.children[v]) + (v != tree.root)
+
+
+def gain(tree, e):
+    """Upgrade gain of the child-keyed edge ``e``."""
+    return tree.u[e] - tree.w[e]
+
+
 def chain_edges(tree, c):
     """A chain's child-keyed edges, walked up from its bottom: ``beta``
     edges, the last one hanging off the top if ``beta`` is right."""
@@ -71,7 +81,7 @@ class TestCriticalStructure:
         for tree in battery[:150]:
             dec = decompose(tree)
             for v in dec.cd:
-                expected = tree.degree(v) if v == tree.root else tree.degree(v) - 1
+                expected = degree(tree, v) if v == tree.root else degree(tree, v) - 1
                 assert len(dec.cd[v]) == expected
                 assert all(dec.chains[h].top == v for h in dec.cd[v])
 
@@ -131,7 +141,7 @@ class TestChains:
                 assert c.beta >= 1
                 assert tree.parent[edges[-1]] == c.top
                 for owner in c.tail_owners:
-                    assert tree.degree(owner) == 2
+                    assert degree(tree, owner) == 2
                 assert sorted(c.tail_owners) == \
                     sorted(tree.parent[e] for e in edges[:-1])
                 assert c.w_sum == sum(tree.w[e] for e in edges)
@@ -168,21 +178,21 @@ CHAIN_FIELDS = ("top", "bottom", "beta", "w_sum", "head_delta", "tail_deltas",
 def reference_decomposition(tree):
     """``cd``, ``order`` and each chain's fields by a direct walk up from
     every non-root node that is not of degree 2 to the first junction."""
-    junctions = {tree.root} | {v for v in tree.parent if tree.degree(v) > 2}
+    junctions = {tree.root} | {v for v in tree.parent if degree(tree, v) > 2}
     cd = {v: [] for v in junctions}
     chains = {}
     for bottom in sorted(tree.parent):
-        if tree.degree(bottom) == 2:
+        if degree(tree, bottom) == 2:
             continue
         path = [bottom]
         while tree.parent[path[-1]] not in junctions:
             path.append(tree.parent[path[-1]])
         top = tree.parent[path[-1]]
         cd[top].append(bottom)
-        tail = sorted(((tree.delta(e), tree.parent[e]) for e in path[:-1]),
+        tail = sorted(((gain(tree, e), tree.parent[e]) for e in path[:-1]),
                       key=lambda t: (-t[0], t[1]))
         chains[bottom] = (top, bottom, len(path),
-                          sum(tree.w[e] for e in path), tree.delta(path[-1]),
+                          sum(tree.w[e] for e in path), gain(tree, path[-1]),
                           tuple(d for d, _ in tail), tuple(o for _, o in tail))
     order = tuple(v for v in reversed(tree.bfs_order) if v in junctions)
     return {v: tuple(hs) for v, hs in cd.items()}, chains, order

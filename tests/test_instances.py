@@ -86,6 +86,32 @@ def test_empty():
         parse_instance("# nothing\n")
 
 
+def test_skipped_lines_keep_physical_line_numbers():
+    # Comment, blank and whitespace-only lines before the header and
+    # between edges still count.
+    with pytest.raises(ParseError, match="line 7:") as err:
+        parse_instance("# c\n\n  \n3 1\n2 1 1 2\n# mid\n3 2 x 10\n")
+    assert err.value.line == 7
+
+
+def test_extra_line_reported_before_its_tokens():
+    with pytest.raises(ParseError, match="unexpected extra line") as err:
+        parse_instance("2 1\n2 1 1 1\nfoo bar\n")
+    assert err.value.line == 3
+
+
+def test_malformed_edge_reported_before_extra_line():
+    with pytest.raises(ParseError, match="expected integer child id") as err:
+        parse_instance("2 1\nx 1 1 1\n3 1 1 1\n")
+    assert err.value.line == 2
+
+
+def test_header_only():
+    with pytest.raises(ParseError) as err:
+        parse_instance("3 1\n")
+    assert str(err.value) == "line 1: expected 2 edge lines, found 0"
+
+
 def test_semantic_error_propagates():
     with pytest.raises(UpgradeBelowBase):
         parse_instance("2 1\n2 1 5 4\n")
@@ -136,7 +162,12 @@ def instance_lines(draw):
 @given(lines=instance_lines(), scale=st.sampled_from([None, 1, 10]))
 @settings(max_examples=300, deadline=None)
 def test_fuzz_parse_raises_only_instance_error(lines, scale):
+    text = "\n".join(lines)
     try:
-        parse_instance("\n".join(lines), scale=scale)
+        tree = parse_instance(text, scale=scale)
     except InstanceError:
-        pass
+        return
+    # A parsed tree has exactly the header's node count.
+    header = next(line.split() for line in text.splitlines()
+                  if line.split() and not line.split()[0].startswith("#"))
+    assert tree.node_count == int(header[0])

@@ -42,7 +42,8 @@ class TestBuildTree:
         assert sorted(ex1.leaves) == [3, 4, 6, 8, 10]
         assert sorted(ex1.non_leaves) == [1, 2, 5, 7, 9]
         assert ex1.children[1] == (2, 5, 7)
-        assert ex1.degree(1) == 3 and ex1.degree(2) == 3 and ex1.degree(5) == 2
+        # Nodes 1, 2 and 5 have undirected degree 3, 3 and 2.
+        assert ex1.children[2] == (3, 4) and ex1.children[5] == (6,)
 
     def test_single_edge(self):
         t = build_tree([(2, 1, 5, 7)], root=1)
