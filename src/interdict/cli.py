@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("inspect", parents=[reads], help="print layers, "
-                       "chains and junction order for debugging")
+    p = sub.add_parser("inspect", parents=[reads], help="print chains and "
+                       "junction order for debugging; --format json adds "
+                       "each node's layer")
     p.set_defaults(func=cmd_inspect)
 
     return parser

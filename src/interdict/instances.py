@@ -42,6 +42,7 @@ def scaled_integer(token: str, scale: int | None, what: str) -> int:
     is not integral at ``scale``, or has a decimal exponent larger in
     magnitude than ``sys.get_int_max_str_digits()``. The exponent is checked
     first: the exact value of ``1e999999999`` takes minutes to build.
+    Raises :class:`ValueError` for a ``scale`` below 1.
     """
     if scale is None:
         try:
@@ -49,6 +50,8 @@ def scaled_integer(token: str, scale: int | None, what: str) -> int:
         except ValueError:
             raise InstanceError(f"expected integer {what}, got {token!r}; "
                                 "decimals need a scale") from None
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
     exponent = _EXPONENT.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -114,8 +117,8 @@ def parse_instance(text: str, scale: int | None = None) -> RootedTree:
     if n is None:
         raise ParseError("empty instance", 1)
     if len(records) != n - 1:
-        raise ParseError(
-            f"expected {n - 1} edge lines, found {len(records)}", 1)
+        raise ParseError(f"expected {n - 1} edge lines, found "
+                         f"{len(records)}", line_no)
     return build_tree(records, root)
 
 

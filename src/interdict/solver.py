@@ -52,27 +52,31 @@ Where a merge has only one split, none runs and nothing is kept:
   ``u``, with no chain table and no serial merge.
 
 The walk gives a chain one share of its branch's budget ``eps + i``:
-``k_chain = eps + serial[h][i]`` where the chain down to ``h`` ran a serial
-merge, and otherwise all the chain can hold, ``eps + min(i, beta - 1)``.
-That is the whole branch budget for a chain ending in a leaf and ``eps``
-for a one-edge chain into a junction.
+``k_chain = eps + bp[i]`` where the chain ran a serial merge with
+backpointer row ``bp``, and otherwise all the chain can hold,
+``eps + min(i, beta - 1)``. That is the whole branch budget for a chain
+ending in a leaf and ``eps`` for a one-edge chain into a junction.
 
 The walk reads only the split of each merge, so a value row is dropped as
-soon as the merge above it has read it. What a solve keeps is one int32
-backpointer row per serial merge that ran, one record per junction (its
-branches, and at each junction where two or more merge their leaf-edge
-minima and uncapped eps=0 rows), one int8 eps row per junction and the
-root's budget-to-value row. A branch's eps=1 row is its eps=0 row raised
-by the chain's head gain, so the walk derives it rather than keeping it.
-The walk finds a junction's branches in its record, not in the tree, and
-from the branch rows it recomputes the splits of merging the branches
-and the leaf edges one at a time, in ``cd`` order. Going from the last
-branch down with remainder ``m``, branch q takes the smallest index of
-its row that reaches the merged value of everything up to it at ``m``
-and leaves the rest within branches 1..q-1's capacity, each leaf edge
-takes 0, and branch 1 takes what is left. That merged value is at most
-the leaf-edge minimum before branch q, so the search in the uncapped row
-finds the index the capped row would give.
+soon as the merge above it has read it. What a solve keeps is the root's
+budget-to-value row and one record per junction ``v``: an int8 row that
+says, per budget, whether the best table of ``v``'s subtree upgrades
+``v``; the chains of its branches that are not leaf edges, in ``cd``
+order; per chain, the int32 backpointer row of its serial merge, where
+one ran; and, where two or more branches merge, their leaf-edge minima
+and uncapped eps=0 rows. Leaf edges and the decomposition's ``cd`` and
+``order`` are not kept. A branch's eps=1 row is its eps=0 row raised by
+the chain's head gain, so the walk derives it rather than keeping it.
+The walk goes from a junction's record to the records at its chains'
+bottoms, never into the tree, and from the branch rows it recomputes the
+splits of merging the branches and the leaf edges one at a time, in
+``cd`` order. Going from the last branch down with remainder ``m``,
+branch q takes the smallest index of its row that reaches the merged
+value of everything up to it at ``m`` and leaves the rest within
+branches 1..q-1's capacity, each leaf edge takes 0, and branch 1 takes
+what is left. That merged value is at most the leaf-edge minimum before
+branch q, so the search in the uncapped row finds the index the capped
+row would give.
 
 Ties in every argmax prefer eps=0, then the smallest budget for the
 chain, or for the later branch, which makes reported upgrade sets
@@ -85,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Chain, Decomposition, decompose
+from .decompose import Chain, decompose
 from .errors import InstanceError, TargetUnreachable, _decimal
 from .tree import (AppliedWeights, RootedTree, Solution, _leaf_distances,
                    all_upgraded_min_distance, evaluate_min_distance)
@@ -156,26 +160,23 @@ class DpTables:
     """What the walk of one solve reads; values are dropped once the merge
     above has consumed them, except the branch rows the walk re-reads.
 
-    ``serial[h]`` holds the backpointers of the serial merge of the chain
-    down to ``h``, present where the chain has two or more edges and ends
-    in a junction. ``branches[v]`` is junction ``v``'s record
-    ``(heads, caps, rows)``: ``heads`` are the bottoms of its chains that
-    are not leaf edges, in ``cd`` order; ``caps[q]`` is the smallest ``w``
-    and the smallest ``u`` over the leaf edges before ``heads[q]``, or
+    ``junctions[v]`` is junction ``v``'s record
+    ``(eps, chains, bps, caps, rows)``. ``eps[k]`` says whether the best
+    table of the subtree at ``v`` with ``k`` upgrades upgrades ``v``.
+    ``chains`` are the chains of ``v``'s branches that are not leaf edges,
+    in ``cd`` order; ``bps[q]`` holds the backpointers of the serial merge
+    of ``chains[q]``, or is ``None`` where none ran: a one-edge chain or a
+    chain ending in a leaf. ``caps[q]`` is the smallest ``w`` and the
+    smallest ``u`` over the leaf edges before ``chains[q]``, or
     ``_INT64_MAX`` where there are none; ``rows[q]`` is that branch's
     uncapped eps=0 row. ``caps`` and ``rows`` are kept where two or more
     branches merge at a positive budget and are ``()`` elsewhere, where
-    the split is forced.
-    ``subtree_eps[v]`` records, per budget, whether the best table of the
-    subtree at ``v`` upgrades ``v``; ``root_best[k]`` is the optimum with
-    ``k`` upgrades, for every ``k`` up to the clamped budget.
+    the split is forced. ``root_best[k]`` is the optimum with ``k``
+    upgrades, for every ``k`` up to the clamped budget.
     """
 
     tree: RootedTree
-    decomposition: Decomposition
-    serial: dict[int, np.ndarray]
-    branches: dict[int, tuple[tuple, tuple, tuple]]
-    subtree_eps: dict[int, np.ndarray]
+    junctions: dict[int, tuple]
     root_best: np.ndarray
 
 
@@ -271,9 +272,8 @@ def _branch_splits(rows: list[np.ndarray], caps: list[int],
     return splits
 
 
-def _collapse(sl: TableSlice) -> tuple[np.ndarray, np.ndarray]:
+def _collapse(f0: np.ndarray, f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best over eps per budget; ties keep eps=0."""
-    f0, f1 = sl.f0, sl.f1
     # f1[i] is the cell k = i + 1: past f0's last cell only eps=1 exists,
     # and over the overlap k = 1..m the strict comparison picks eps.
     m = min(len(f0) - 1, len(f1))
@@ -293,9 +293,8 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     root-leaf path; trees where that path exceeds the int64 range raise
     :class:`InstanceError`. Each value row lives only until the merge above
     it has read it, except the eps=0 branch rows kept where two or more
-    branches merge; backpointers are int32 and ``subtree_eps`` rows int8.
-    A chain ending in a leaf runs no serial merge: its g-rows are the
-    branch row.
+    branches merge; backpointers are int32 and eps rows int8. A chain
+    ending in a leaf runs no serial merge: its g-rows are the branch row.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -307,14 +306,12 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
     dec = decompose(tree)
     k_cap = min(budget, len(tree.non_leaves))
 
-    serial: dict[int, np.ndarray] = {}
-    branches: dict[int, tuple[tuple, tuple, tuple]] = {}
+    junctions: dict[int, tuple] = {}
     subtree_best: dict[int, np.ndarray] = {}  # junctions not yet merged
-    subtree_eps: dict[int, np.ndarray] = {}
     w, u, leaves = tree.w, tree.u, tree.leaves
 
     for v in dec.order:
-        found = []  # per branch: its chain's bottom, leaf-edge minima, rows
+        found = []  # per branch: chain, backpointers, leaf-edge minima, rows
         cap_w = cap_u = _INT64_MAX  # over the leaf edges so far
         for h in dec.cd[v]:
             chain = dec.chains[h]
@@ -333,59 +330,54 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
                 sl = TableSlice(below[:k_cap + 1] + w[h], below[:k_cap] + u[h])
             else:
                 ct = chain_g_table(chain, k_cap)
-                if h in leaves:
-                    sl = TableSlice(ct.g0, ct.g1)  # nothing below: all on chain
-                else:
-                    sl = combine_serial(ct, subtree_best.pop(h), k_cap)
-                    serial[h] = sl.bp
-            found.append((h, (cap_w, cap_u), sl))
-        heads, caps, rows = zip(*found) if found else ((), (), ())
-        branches[v] = ((heads, caps, tuple(r.f0 for r in rows))
-                       if len(rows) > 1 and k_cap else (heads, (), ()))
+                sl = (TableSlice(ct.g0, ct.g1) if h in leaves  # all on chain
+                      else combine_serial(ct, subtree_best.pop(h), k_cap))
+            found.append((chain, sl.bp, (cap_w, cap_u), sl))
+        chains, bps, caps, rows = zip(*found) if found else ((),) * 4
         # Only leaf edges: rows that bound nothing, which the cap then sets.
         merged = (combine_parallel(list(rows), k_cap) if rows else TableSlice(
             np.full(1, _INT64_MAX, dtype=np.int64),
             np.full(min(1, k_cap), _INT64_MAX, dtype=np.int64)))
-        subtree_best[v], subtree_eps[v] = _collapse(TableSlice(
-            np.minimum(merged.f0, cap_w), np.minimum(merged.f1, cap_u)))
+        subtree_best[v], eps = _collapse(np.minimum(merged.f0, cap_w),
+                                         np.minimum(merged.f1, cap_u))
+        junctions[v] = (eps, chains, bps) + (
+            (caps, tuple(r.f0 for r in rows)) if len(rows) > 1 and k_cap
+            else ((), ()))
     root_best = subtree_best.pop(tree.root)
     if len(root_best) != k_cap + 1:
         raise RuntimeError(
             f"internal error: root row has {len(root_best)} cells, "
             f"expected {k_cap + 1}")
 
-    return DpTables(tree, dec, serial, branches, subtree_eps, root_best)
+    return DpTables(tree, junctions, root_best)
 
 
 def _extract_upgrades(tables: DpTables, k_root: int) -> set[int]:
     """Walk the splits down from the root cell for budget ``k_root`` and
     materialize the upgrade set."""
-    chains = tables.decomposition.chains
     budget = len(tables.root_best) - 1
-    tree = tables.tree
     upgraded: set[int] = set()
-    stack = [(tree.root, int(tables.subtree_eps[tree.root][k_root]), k_root)]
+    stack = [(tables.tree.root, k_root)]
     while stack:
-        v, eps, k = stack.pop()
+        v, k = stack.pop()
+        eps_row, chains, bps, caps, rows = tables.junctions[v]
+        eps = int(eps_row[k])
         if eps:
             upgraded.add(v)
-        heads, caps, rows = tables.branches[v]
         splits = [k - eps]  # one branch, or no budget to split
         if rows:  # an eps=1 row is the eps=0 row raised by the head gain
             splits = _branch_splits(
-                [f0[:budget] + chains[h].head_delta if eps else f0
-                 for h, f0 in zip(heads, rows)],
+                [f0[:budget] + chain.head_delta if eps else f0
+                 for chain, f0 in zip(chains, rows)],
                 [cap[eps] for cap in caps], k - eps)
-        for h, i in zip(heads, splits):
-            chain = chains[h]
+        for chain, bp, i in zip(chains, bps, splits):
             # With no serial merge, the chain takes all the budget it holds.
-            k_chain = eps + (int(tables.serial[h][i]) if h in tables.serial
+            k_chain = eps + (int(bp[i]) if bp is not None
                              else min(i, chain.beta - 1))
             upgraded |= chain.upgrade_set(eps, k_chain)
             k_below = i + eps - k_chain
             if k_below > 0:
-                eps_below = int(tables.subtree_eps[h][k_below])
-                stack.append((h, eps_below, k_below))
+                stack.append((chain.bottom, k_below))
     return upgraded
 
 

@@ -26,6 +26,7 @@ from interdict import (
     brute_force_cost,
     brute_force_max,
     build_tables,
+    decompose,
     evaluate_min_distance,
     random_tree,
     solve_cost,
@@ -67,7 +68,7 @@ def test_criterion_1_golden_regression(ex1):
     start = time.perf_counter()
 
     tables = build_tables(ex1, budget=1)
-    dec = tables.decomposition
+    dec = decompose(ex1)
 
     checked = 0
     for bottom, cells in GOLDEN_CHAIN_CELLS.items():

@@ -12,6 +12,7 @@ from interdict import (
     parse_instance,
     random_tree,
 )
+from interdict.instances import scaled_integer
 from conftest import NUMBER_TOKENS
 
 
@@ -112,6 +113,14 @@ def test_header_only():
     assert str(err.value) == "line 1: expected 2 edge lines, found 0"
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# h\n3 1\n", 2), ("3 1\n2 1 1 1\n", 2), ("3 1\n2 1 1 1\n\n# end\n", 4)])
+def test_missing_edges_cite_where_input_ended(text, line):
+    with pytest.raises(ParseError, match="expected 2 edge lines") as err:
+        parse_instance(text)
+    assert err.value.line == line
+
+
 def test_semantic_error_propagates():
     with pytest.raises(UpgradeBelowBase):
         parse_instance("2 1\n2 1 5 4\n")
@@ -130,6 +139,15 @@ def test_fixed_point_scale():
 def test_scale_requires_integral_result():
     with pytest.raises(ParseError):
         parse_instance("2 1\n2 1 1.25 2.5\n", scale=10)
+
+
+@pytest.mark.parametrize("scale", [0, -1])
+def test_scale_below_one_rejected(scale):
+    # Scale 0 would zero every weight, and -1 would report a negative one.
+    with pytest.raises(ValueError, match=f"scale must be >= 1, got {scale}"):
+        scaled_integer("3", scale, "target")
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        parse_instance("3 1\n2 1 5 7\n3 1 4 9\n", scale=scale)
 
 
 @pytest.mark.parametrize("edge, error", [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from interdict import (
     SHAPES,
     Chain,
+    DpTables,
     GeneratorConfig,
     InstanceError,
     all_upgraded_min_distance,
@@ -118,13 +119,13 @@ class TestTables:
         assert cell(sl, 1, 1) == 10
         tables = build_tables(junction_subtree(ex1, 7), 1)
         assert tables.root_best.tolist() == [3, 10]
-        assert tables.subtree_eps[7].tolist() == [0, 1]
+        assert tables.junctions[7][0].tolist() == [0, 1]
 
     def test_parallel_full_subtree_v2(self, ex1):
         # Two leaf edges: the second caps the first's rows.
         tables = build_tables(junction_subtree(ex1, 2), 1)
         assert tables.root_best.tolist() == [4, 10]
-        assert tables.subtree_eps[2].tolist() == [0, 1]
+        assert tables.junctions[2][0].tolist() == [0, 1]
 
     def test_parallel_full_tree(self, ex1):
         branches = golden_branches(ex1)
@@ -135,17 +136,29 @@ class TestTables:
         assert cell(sl, 1, 1) == 13
         tables = build_tables(ex1, budget=1)
         assert tables.root_best.tolist() == [7, 13]
-        assert tables.subtree_eps[1].tolist() == [0, 1]
+        assert tables.junctions[1][0].tolist() == [0, 1]
 
     def test_best_is_max_over_eps(self, ex1):
         tables = build_tables(ex1, budget=3)
-        for v in tables.decomposition.order:
+        for v in decompose(ex1).order:
             sub = junction_subtree(ex1, v)
             best = build_tables(sub, 3).root_best
             for k in range(len(best)):
                 cells = [exact_best(sub, eps, k) for eps in (0, 1)]
                 assert best[k] == max(c for c in cells if c is not None)
-                assert tables.subtree_eps[v][k] == int(cells[0] != best[k])
+                assert tables.junctions[v][0][k] == int(cells[0] != best[k])
+
+    def test_one_record_per_junction(self, ex1):
+        # Junctions 2 and 7 have leaf edges (3, 4 and 8), which no record
+        # holds; every record chain hangs from its junction.
+        tables = build_tables(ex1, budget=1)
+        assert [f.name for f in dataclasses.fields(DpTables)] == [
+            "tree", "junctions", "root_best"]
+        assert sorted(tables.junctions) == sorted(decompose(ex1).order)
+        for v, (_, chains, *_) in tables.junctions.items():
+            for chain in chains:
+                assert chain.top == v
+                assert not (chain.beta == 1 and chain.bottom in ex1.leaves)
 
     def test_leaf_bottom_branch_budget_zero(self, ex1):
         # Branch 8 under junction 7 is a leaf edge; alone it is a whole
@@ -254,8 +267,8 @@ class TestRetainedMemory:
         assert len(tables.root_best) == 1001
 
     def test_forced_serial_merges_store_nothing(self):
-        # The same pass: about 9.5 MB (9.1 MiB) with one backpointer array
-        # per serial merge; 14.1 MB when each kept two arrays, and about
+        # The same pass: about 8.6 MiB with one backpointer array per
+        # serial merge; 14.1 MB when each merge kept two arrays, and about
         # 29 MB when the one-edge chains into a junction (1949 of 3151
         # serial merges) kept backpointers too.
         tree = random_tree(GeneratorConfig(n=10_000, seed=5,
@@ -267,15 +280,17 @@ class TestRetainedMemory:
         finally:
             tracemalloc.stop()
         assert retained < 12 * 2**20
-        dec = tables.decomposition
-        assert all(dec.chains[h].beta > 1 for h in tables.serial)
-        assert all(bp.ndim == 1 and bp.dtype == np.int32
-                   for bp in tables.serial.values())
+        kept = [(chain, bp) for _, chains, bps, *_ in tables.junctions.values()
+                for chain, bp in zip(chains, bps) if bp is not None]
+        assert all(chain.beta > 1 and chain.bottom not in tree.leaves
+                   for chain, _ in kept)
+        assert all(bp.ndim == 1 and bp.dtype == np.int32 for _, bp in kept)
 
     def test_wide_junction_keeps_branch_rows_only(self):
         # A root with 2000 legs of two edges, at the full budget: about
-        # 0.99 MiB for the legs' eps=0 rows, where pairwise merges kept
-        # 16.4 MiB of backpointers for prefixes of up to 4001 cells.
+        # 0.73 MiB for the legs' eps=0 rows and chains, where pairwise
+        # merges kept 16.4 MiB of backpointers for prefixes of up to 4001
+        # cells.
         tree = make_spider(2000)
         tracemalloc.start()
         try:
@@ -284,9 +299,11 @@ class TestRetainedMemory:
         finally:
             tracemalloc.stop()
         assert retained < 4 * 2**20
-        assert list(tables.branches) == [tree.root]
-        heads, caps, rows = tables.branches[tree.root]
-        assert len(heads) == len(caps) == len(rows) == 2000
+        assert list(tables.junctions) == [tree.root]
+        _, chains, bps, caps, rows = tables.junctions[tree.root]
+        assert len(chains) == len(bps) == len(caps) == len(rows) == 2000
+        # The legs end in leaves: no serial merge ran, so none is kept.
+        assert bps == (None,) * 2000
 
     def test_merging_junctions_keep_eps_zero_rows_only(self):
         # The eps=1 row of a branch is its eps=0 row raised by the head
@@ -296,7 +313,7 @@ class TestRetainedMemory:
         tree = random_tree(GeneratorConfig(n=20_000, seed=5,
                                            shape="binary-ish"))
         tables = build_tables(tree, 2000)
-        kept = sum(row.nbytes for _, _, rows in tables.branches.values()
+        kept = sum(row.nbytes for *_, rows in tables.junctions.values()
                    for row in rows)
         assert kept < 1.5 * 2**20
 
@@ -757,7 +774,10 @@ class TestForcedSplits:
         for k in budgets:
             assert solve_max(tree, k).value == brute_force_max(tree, k)[0]
             tables = build_tables(tree, k)
-            assert tables.branches == {1: ((5,), (), ())}
+            assert list(tables.junctions) == [1]
+            _, chains, bps, caps, rows = tables.junctions[1]
+            assert tuple(chain.bottom for chain in chains) == (5,)
+            assert (bps, caps, rows) == ((None,), (), ())
             assert tables.root_best.tolist() == [3, 5, 5, 5][:k + 1]
         # One merge per table pass: solve_max's and build_tables'.
         assert calls["combine_parallel"] == 2 * len(budgets)
