@@ -15,22 +15,22 @@ from .errors import (CycleDetected, DisconnectedInput, DuplicateChild,
 from .generate import SHAPES, GeneratorConfig, random_tree
 from .instances import format_instance, load_instance, parse_instance
 from .oracle import ORACLE_LIMIT, brute_force_cost, brute_force_max
-from .solver import (BudgetQuery, ChainTable, CostResult, DpTables, TableSlice,
-                     build_tables, chain_g_table, solve_cost, solve_max)
+from .solver import (BudgetQuery, CostResult, DpTables, build_tables,
+                     solve_cost, solve_max)
 from .tree import (RootedTree, Solution, all_upgraded_min_distance, build_tree,
                    evaluate_min_distance)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetQuery", "Chain", "ChainTable", "CostResult", "CycleDetected",
+    "BudgetQuery", "Chain", "CostResult", "CycleDetected",
     "Decomposition", "DisconnectedInput", "DpTables", "DuplicateChild",
     "GeneratorConfig", "InstanceError", "InterdictError",
     "LeafInSet", "NegativeWeight", "ORACLE_LIMIT", "ParseError", "RootedTree",
-    "SHAPES", "Solution", "TableSlice", "TargetUnreachable",
+    "SHAPES", "Solution", "TargetUnreachable",
     "TooLargeForOracle", "TrivialTree", "UpgradeBelowBase",
     "all_upgraded_min_distance", "brute_force_cost",
-    "brute_force_max", "build_tables", "build_tree", "chain_g_table",
+    "brute_force_max", "build_tables", "build_tree",
     "decompose", "evaluate_min_distance", "format_instance", "load_instance",
     "parse_instance", "random_tree", "solve_cost", "solve_max",
 ]

@@ -137,17 +137,14 @@ def chain_g_table(chain: Chain, budget: int) -> ChainTable:
         g(1, k) = w_sum + head gain + (k-1 largest tail gains)
                                                         1 <= k <= min(beta, K)
 
-    Only beta-1 tail edges exist, hence the tighter eps=0 bound. Every cell
-    is at most the all-upgraded chain length; a chain where that exceeds
-    the int64 range raises :class:`InstanceError`.
+    Only beta-1 tail edges exist, hence the tighter eps=0 bound.
+
+    Precondition, checked once by :func:`build_tables` and not here:
+    ``budget >= 0`` and the chain's all-upgraded length fits in int64.
+    Every cell is a prefix of that length, and the chain lies on a
+    root-leaf path, so the gate on the longest all-upgraded root-leaf path
+    covers every chain.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    longest = chain.w_sum + chain.head_delta + sum(chain.tail_deltas)
-    if longest > _INT64_MAX:
-        raise InstanceError(
-            f"chain to {chain.bottom}: all-upgraded length "
-            f"{_decimal(longest)} is above the int64 table limit {_INT64_MAX}")
     tail_prefix = np.concatenate(
         ([0], np.cumsum(np.asarray(chain.tail_deltas, dtype=np.int64))))
     g0 = chain.w_sum + tail_prefix[: min(chain.beta - 1, budget) + 1]
@@ -291,10 +288,13 @@ def build_tables(tree: RootedTree, budget: int) -> DpTables:
 
     Tables hold int64 cells, each bounded by the longest all-upgraded
     root-leaf path; trees where that path exceeds the int64 range raise
-    :class:`InstanceError`. Each value row lives only until the merge above
-    it has read it, except the eps=0 branch rows kept where two or more
-    branches merge; backpointers are int32 and eps rows int8. A chain
-    ending in a leaf runs no serial merge: its g-rows are the branch row.
+    :class:`InstanceError`. This is the only check of the budget and of the
+    int64 range: the chain g-rows and both merges trust their operands.
+
+    Each value row lives only until the merge above it has read it, except
+    the eps=0 branch rows kept where two or more branches merge;
+    backpointers are int32 and eps rows int8. A chain ending in a leaf runs
+    no serial merge: its g-rows are the branch row.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

@@ -202,4 +202,4 @@ def evaluate_min_distance(tree: RootedTree, upgraded: Iterable[int]) -> int:
 
 def all_upgraded_min_distance(tree: RootedTree) -> int:
     """Objective when every non-leaf node is upgraded: the feasibility ceiling."""
-    return evaluate_min_distance(tree, tree.non_leaves)
+    return min(_leaf_distances(tree, tree.non_leaves))

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from interdict import (
     InstanceError,
+    build_tables,
     build_tree,
-    chain_g_table,
     decompose,
 )
+from interdict.solver import chain_g_table
 
 
 def path_chain(weights):
@@ -113,12 +114,14 @@ class TestDomain:
 
     def test_length_past_int64_raises(self):
         # The last g(0, k) cell is 2**63, one past the int64 range.
+        # chain_g_table trusts its operands: build_tables' gate on the
+        # longest all-upgraded root-leaf path rejects the chain first.
         x = 2**62
-        _, chain = path_chain([(0, 1), (0, x), (0, x)])
+        tree, _ = path_chain([(0, 1), (0, x), (0, x)])
         with pytest.raises(InstanceError, match=(
-                r"^chain to 4: all-upgraded length 9223372036854775809 is "
-                r"above the int64 table limit 9223372036854775807$")):
-            chain_g_table(chain, budget=5)
+                r"^longest all-upgraded root-leaf path 9223372036854775809 "
+                r"is above the int64 table limit 9223372036854775807$")):
+            build_tables(tree, 5)
 
 
 class TestProperties:
