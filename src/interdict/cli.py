@@ -3,8 +3,12 @@
 Subcommands: solve-max, solve-cost, gen, verify, inspect. Reports go to
 stdout as line-oriented ``key=value`` text or as a single JSON object
 (``--format json``); both are deterministic for fixed inputs and seeds.
-Wall-clock timings are diagnostics, not results, and are written to
-stderr.
+
+solve-max, solve-cost and verify also write ``time_ms=`` to stderr: the
+wall time, in milliseconds, of the command's own work after the instance
+is loaded, which is the parse of ``--target`` and the solve (for verify,
+the oracle and the solve). Loading the instance and writing the report
+are outside it. It is a diagnostic, not a result.
 
 Exit codes: 0 success, 2 invalid input, 3 unreachable target, 4 oracle
 mismatch (verify only).
@@ -55,34 +59,47 @@ def _digest(tree: RootedTree) -> dict:
     }
 
 
-def _time_note(ms: float) -> None:
+def _run(args) -> int:
+    """Load the instance, time ``args.fields(tree, args)`` alone and report
+    its fields after the common head; a ``MISMATCH`` verdict exits 4."""
+    tree = load_instance(args.instance, args.scale)
+    start = time.perf_counter()
+    fields = args.fields(tree, args)
+    ms = (time.perf_counter() - start) * 1000
     print(f"time_ms={ms:.3f}", file=sys.stderr)
+    _emit({"command": args.command, "instance": args.instance,
+           **_digest(tree), **fields}, args.format)
+    return EXIT_MISMATCH if fields.get("verdict") == "MISMATCH" else EXIT_OK
 
 
-def cmd_solve_max(args) -> int:
-    tree = load_instance(args.instance, args.scale)
-    start = time.perf_counter()
+def _max_fields(tree: RootedTree, args) -> dict:
     sol = solve_max(tree, args.budget)
-    _time_note((time.perf_counter() - start) * 1000)
-    report = {"command": "solve-max", "instance": args.instance,
-              **_digest(tree), "budget": args.budget,
-              "value": sol.value, "upgraded": sorted(sol.upgraded)}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"budget": args.budget, "value": sol.value,
+            "upgraded": sorted(sol.upgraded)}
 
 
-def cmd_solve_cost(args) -> int:
-    tree = load_instance(args.instance, args.scale)
+def _cost_fields(tree: RootedTree, args) -> dict:
     target = scaled_integer(args.target, args.scale, "target")
-    start = time.perf_counter()
     result = solve_cost(tree, target)
-    _time_note((time.perf_counter() - start) * 1000)
-    report = {"command": "solve-cost", "instance": args.instance,
-              **_digest(tree), "target": target,
-              "kstar": result.kstar, "value": result.solution.value,
-              "upgraded": sorted(result.solution.upgraded)}
-    _emit(report, args.format)
-    return EXIT_OK
+    return {"target": target, "kstar": result.kstar,
+            "value": result.solution.value,
+            "upgraded": sorted(result.solution.upgraded)}
+
+
+def _verify_fields(tree: RootedTree, args) -> dict:
+    # The oracle runs first: it rejects a tree over its size limit at once,
+    # before the DP spends any work on it.
+    if args.budget is not None:
+        oracle, _ = brute_force_max(tree, args.budget)
+        dp = solve_max(tree, args.budget).value
+        fields = {"budget": args.budget, "dp": dp, "oracle": oracle}
+    else:
+        target = scaled_integer(args.target, args.scale, "target")
+        oracle = brute_force_cost(tree, target)
+        dp = solve_cost(tree, target).kstar
+        fields = {"target": target, "dp_kstar": dp, "oracle_kstar": oracle}
+    fields["verdict"] = "MATCH" if dp == oracle else "MISMATCH"
+    return fields
 
 
 def cmd_gen(args) -> int:
@@ -100,28 +117,6 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    tree = load_instance(args.instance, args.scale)
-    report = {"command": "verify", "instance": args.instance, **_digest(tree)}
-    start = time.perf_counter()
-    # The oracle runs first: it rejects a tree over its size limit at once,
-    # before the DP spends any work on it.
-    if args.budget is not None:
-        oracle, _ = brute_force_max(tree, args.budget)
-        dp = solve_max(tree, args.budget).value
-        report.update(budget=args.budget, dp=dp, oracle=oracle)
-    else:
-        target = scaled_integer(args.target, args.scale, "target")
-        oracle = brute_force_cost(tree, target)
-        dp = solve_cost(tree, target).kstar
-        report.update(target=target, dp_kstar=dp, oracle_kstar=oracle)
-    _time_note((time.perf_counter() - start) * 1000)
-    ok = dp == oracle
-    report["verdict"] = "MATCH" if ok else "MISMATCH"
-    _emit(report, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _chain_report(c: Chain) -> dict:
@@ -156,20 +151,16 @@ def cmd_inspect(args) -> int:
     chains = [_chain_report(c) for _, c in sorted(dec.chains.items())]
     # The paper's junction order, deepest layer first (ties: descending
     # id); the solver only needs junctions below before those above.
-    report = {"command": "inspect", "instance": args.instance, **_digest(tree),
-              "branching": sorted(v for v in dec.cd if v != tree.root),
-              "order": sorted(dec.cd, key=lambda v: (-layer[v], -v)),
-              "layers": {str(v): layer[v] for v in sorted(layer)},
-              "chains": chains}
+    head = {"command": "inspect", "instance": args.instance, **_digest(tree),
+            "branching": sorted(v for v in dec.cd if v != tree.root),
+            "order": sorted(dec.cd, key=lambda v: (-layer[v], -v))}
     if args.format == "json":
-        _emit(report, "json")
+        _emit({**head, "layers": {str(v): layer[v] for v in sorted(layer)},
+               "chains": chains}, "json")
     else:
-        lines = [f"{key}={_fmt_value(report[key])}" for key in (
-            "command", "instance", "n", "leaves", "non_leaves", "branching",
-            "order")]
-        lines += [" ".join(f"{k}={_fmt_value(v)}" for k, v in chain.items())
-                  for chain in chains]
-        print("\n".join(lines))
+        _emit(head, "text")
+        for chain in chains:
+            print(" ".join(f"{k}={_fmt_value(v)}" for k, v in chain.items()))
     return EXIT_OK
 
 
@@ -203,15 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximize the shortest root-leaf distance under "
                             "an upgrade budget")
     p.add_argument("--budget", type=_at_least(0), required=True)
-    p.set_defaults(func=cmd_solve_max)
+    p.set_defaults(func=_run, fields=_max_fields)
 
     p = sub.add_parser("solve-cost", parents=[reads],
                        help="fewest upgrades reaching a target distance")
     p.add_argument("--target", required=True)
-    p.set_defaults(func=cmd_solve_cost)
+    p.set_defaults(func=_run, fields=_cost_fields)
 
     p = sub.add_parser("gen", parents=[fmt], help="generate a random instance")
-    p.add_argument("--nodes", type=_at_least(1), required=True)
+    p.add_argument("--nodes", type=_at_least(2), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--wmax", type=_at_least(0), default=DEFAULT_W_MAX)
     p.add_argument("--dmax", type=_at_least(0), default=DEFAULT_DELTA_MAX)
@@ -225,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--budget", type=_at_least(0), default=None)
     group.add_argument("--target", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_run, fields=_verify_fields)
 
     p = sub.add_parser("inspect", parents=[reads], help="print chains and "
                        "junction order for debugging; --format json adds "

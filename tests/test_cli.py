@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -126,6 +127,15 @@ class TestGen:
         run_cli(capsys, "gen", "--nodes", "12", "--seed", "7", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("nodes", ["0", "1"])
+    def test_fewer_than_two_nodes_is_usage_error(self, capsys, nodes):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--nodes", nodes, "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --nodes: must be >= 2" in captured.err
+
     def test_large_instance_round_trip(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         code, _, _ = run_cli(capsys, "gen", "--nodes", "3000", "--seed", "1",
@@ -157,6 +167,41 @@ class TestVerify:
                     "-o", str(path))
             code, out, _ = run_cli(capsys, "verify", str(path), "--budget", "3")
             assert code == 0 and "verdict=MATCH" in out
+
+    # A DP one off the oracle: one more than its value, one more than its k*.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("query, expected", [
+        (["--budget", "3"], {"budget": 3, "dp": 68, "oracle": 67}),
+        (["--target", "67"],
+         {"target": 67, "dp_kstar": 2, "oracle_kstar": 1})])
+    def test_mismatch_exits_4(self, capsys, tmp_path, monkeypatch, fmt, query,
+                              expected):
+        path = str(tmp_path / "cat.txt")
+        run_cli(capsys, "gen", "--nodes", "40", "--seed", "1",
+                "--shape", "caterpillar", "-o", path)
+        solve_max = interdict.cli.solve_max
+        solve_cost = interdict.cli.solve_cost
+
+        def off_max(tree, budget):
+            sol = solve_max(tree, budget)
+            return dataclasses.replace(sol, value=sol.value + 1)
+
+        def off_cost(tree, target):
+            result = solve_cost(tree, target)
+            return dataclasses.replace(result, kstar=result.kstar + 1)
+
+        monkeypatch.setattr(interdict.cli, "solve_max", off_max)
+        monkeypatch.setattr(interdict.cli, "solve_cost", off_cost)
+        code, out, err = run_cli(capsys, "verify", path, *query,
+                                 "--format", fmt)
+        assert code == 4 and "time_ms=" in err
+        report = {"command": "verify", "instance": path, "n": 40,
+                  "leaves": 20, "non_leaves": 20, **expected,
+                  "verdict": "MISMATCH"}
+        if fmt == "json":
+            assert json.loads(out) == report
+        else:
+            assert out == "".join(f"{k}={v}\n" for k, v in report.items())
 
     # The tree's ceiling is 113: the size check comes first also for a target
     # above it, where exit 3 (unreachable) would be wrong.
@@ -244,6 +289,83 @@ class TestInspect:
         assert code == 2 and out == ""
         assert err == "error: chain to 2: length of 4301 digits is too " \
                       "long to print\n"
+
+
+# Every report's whole stdout, text and JSON, byte for byte: the golden
+# instance is read as ex1.txt from the working directory, gen writes g.txt.
+EX1_HEAD = "instance=ex1.txt\nn=10\nleaves=5\nnon_leaves=5\n"
+EX1_JSON_HEAD = '"instance":"ex1.txt","leaves":5,"n":10,"non_leaves":5'
+REPORTS = {
+    "solve-max ex1.txt --budget 1": (
+        "command=solve-max\n" + EX1_HEAD
+        + "budget=1\nvalue=13\nupgraded=[1]\n",
+        '{"budget":1,"command":"solve-max",' + EX1_JSON_HEAD
+        + ',"upgraded":[1],"value":13}\n'),
+    "solve-cost ex1.txt --target 13": (
+        "command=solve-cost\n" + EX1_HEAD
+        + "target=13\nkstar=1\nvalue=13\nupgraded=[1]\n",
+        '{"command":"solve-cost","instance":"ex1.txt","kstar":1,"leaves":5,'
+        '"n":10,"non_leaves":5,"target":13,"upgraded":[1],"value":13}\n'),
+    "verify ex1.txt --budget 1": (
+        "command=verify\n" + EX1_HEAD
+        + "budget=1\ndp=13\noracle=13\nverdict=MATCH\n",
+        '{"budget":1,"command":"verify","dp":13,' + EX1_JSON_HEAD
+        + ',"oracle":13,"verdict":"MATCH"}\n'),
+    "verify ex1.txt --target 13": (
+        "command=verify\n" + EX1_HEAD
+        + "target=13\ndp_kstar=1\noracle_kstar=1\nverdict=MATCH\n",
+        '{"command":"verify","dp_kstar":1,' + EX1_JSON_HEAD
+        + ',"oracle_kstar":1,"target":13,"verdict":"MATCH"}\n'),
+    "inspect ex1.txt": (
+        "command=inspect\n" + EX1_HEAD + "branching=[2,7]\norder=[7,2,1]\n"
+        "bottom=2 top=1 beta=1 w_sum=6 head_delta=4 tail_deltas=[] "
+        "tail_owners=[]\n"
+        "bottom=3 top=2 beta=1 w_sum=7 head_delta=3 tail_deltas=[] "
+        "tail_owners=[]\n"
+        "bottom=4 top=2 beta=1 w_sum=4 head_delta=6 tail_deltas=[] "
+        "tail_owners=[]\n"
+        "bottom=6 top=1 beta=2 w_sum=9 head_delta=9 tail_deltas=[2] "
+        "tail_owners=[5]\n"
+        "bottom=7 top=1 beta=1 w_sum=4 head_delta=6 tail_deltas=[] "
+        "tail_owners=[]\n"
+        "bottom=8 top=7 beta=1 w_sum=3 head_delta=7 tail_deltas=[] "
+        "tail_owners=[]\n"
+        "bottom=10 top=7 beta=2 w_sum=9 head_delta=6 tail_deltas=[5] "
+        "tail_owners=[9]\n",
+        '{"branching":[2,7],"chains":['
+        '{"beta":1,"bottom":2,"head_delta":4,"tail_deltas":[],'
+        '"tail_owners":[],"top":1,"w_sum":6},'
+        '{"beta":1,"bottom":3,"head_delta":3,"tail_deltas":[],'
+        '"tail_owners":[],"top":2,"w_sum":7},'
+        '{"beta":1,"bottom":4,"head_delta":6,"tail_deltas":[],'
+        '"tail_owners":[],"top":2,"w_sum":4},'
+        '{"beta":2,"bottom":6,"head_delta":9,"tail_deltas":[2],'
+        '"tail_owners":[5],"top":1,"w_sum":9},'
+        '{"beta":1,"bottom":7,"head_delta":6,"tail_deltas":[],'
+        '"tail_owners":[],"top":1,"w_sum":4},'
+        '{"beta":1,"bottom":8,"head_delta":7,"tail_deltas":[],'
+        '"tail_owners":[],"top":7,"w_sum":3},'
+        '{"beta":2,"bottom":10,"head_delta":6,"tail_deltas":[5],'
+        '"tail_owners":[9],"top":7,"w_sum":9}],'
+        '"command":"inspect","instance":"ex1.txt",'
+        '"layers":{"1":1,"10":2,"2":2,"3":2,"4":2,"5":1,"6":1,"7":2,"8":2,'
+        '"9":2},"leaves":5,"n":10,"non_leaves":5,"order":[7,2,1]}\n'),
+    "gen --nodes 12 --seed 7 -o g.txt": (
+        "command=gen\nout=g.txt\nn=12\nleaves=6\nnon_leaves=6\nseed=7\n"
+        "shape=uniform-attachment\nwmax=100\ndmax=100\n",
+        '{"command":"gen","dmax":100,"leaves":6,"n":12,"non_leaves":6,'
+        '"out":"g.txt","seed":7,"shape":"uniform-attachment","wmax":100}\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", REPORTS)
+def test_report_bytes(capsys, tmp_path, monkeypatch, command, fmt):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ex1.txt").write_text(EX1_TEXT)
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    assert out == REPORTS[command][fmt == "json"]
 
 
 def test_removed_bench_subcommand_is_usage_error(capsys):
