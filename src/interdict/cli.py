@@ -21,14 +21,13 @@ import json
 import sys
 import time
 
-from .decompose import Chain, Decomposition, decompose
 from .errors import (InstanceError, InterdictError, TargetUnreachable,
                      _decimal)
 from .generate import (DEFAULT_DELTA_MAX, DEFAULT_W_MAX, SHAPES,
                        GeneratorConfig, random_tree)
 from .instances import format_instance, load_instance, scaled_integer
 from .oracle import brute_force_cost, brute_force_max
-from .solver import solve_cost, solve_max
+from .solver import Chain, Decomposition, decompose, solve_cost, solve_max
 from .tree import RootedTree
 
 EXIT_OK = 0

@@ -26,14 +26,13 @@ from interdict import (
     brute_force_cost,
     brute_force_max,
     build_tables,
-    decompose,
     evaluate_min_distance,
     random_tree,
     solve_cost,
     solve_max,
 )
 from interdict.solver import (TableSlice, chain_g_table, combine_parallel,
-                              combine_serial)
+                              combine_serial, decompose)
 from interdict.cli import main as cli_main
 
 # chain bottom -> {(eps, k): value}: full expected chain tables of the

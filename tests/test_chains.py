@@ -9,9 +9,8 @@ from interdict import (
     InstanceError,
     build_tables,
     build_tree,
-    decompose,
 )
-from interdict.solver import chain_g_table
+from interdict.solver import chain_g_table, decompose
 
 
 def path_chain(weights):

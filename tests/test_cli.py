@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import interdict.cli
 from interdict.cli import main
-from interdict import build_tree, decompose, format_instance, load_instance
+from interdict import build_tree, format_instance, load_instance
+from interdict.solver import decompose
 from conftest import EX1_RECORDS, NUMBER_TOKENS
 
 EX1_TEXT = format_instance(build_tree(EX1_RECORDS, root=1))

@@ -6,10 +6,10 @@ from interdict import (
     SHAPES,
     GeneratorConfig,
     build_tree,
-    decompose,
     random_tree,
 )
 from interdict.cli import _layers
+from interdict.solver import decompose
 from conftest import make_path, make_star, small_battery
 
 

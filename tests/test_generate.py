@@ -5,10 +5,10 @@ import pytest
 from interdict import (
     SHAPES,
     GeneratorConfig,
-    decompose,
     format_instance,
     random_tree,
 )
+from interdict.solver import decompose
 
 GOLDEN_N12_SEED7_SHA256 = (
     "b58e28eefa421c635eab1a969ee54538355bd3eca440ae3818b9135669ce200e")

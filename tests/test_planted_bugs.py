@@ -33,6 +33,10 @@ MUTANTS = {
         "solver.py", "min(row[-1] for row in rows)",
         "max(row[-1] for row in rows)",
         ("test_solver.py::TestTables", SMALL_BATTERY)),
+    "parallel_merge_uncapped": (
+        "solver.py",
+        "return np.minimum(out, min(row[-1] for row in rows), out=out)",
+        "return out", ("test_solver.py::TestTables", SMALL_BATTERY)),
     "parallel_rank_shifted_by_one": (
         "solver.py", "np.sort(np.concatenate(rows))[:size]",
         "np.sort(np.concatenate(rows))[1:size + 1]",
@@ -62,7 +66,7 @@ MUTANTS = {
         "solver.py", "if longest > _INT64_MAX:", "if False:",
         ("test_solver.py::TestInt64Range",)),
     "tail_sorted_by_ascending_gain": (
-        "decompose.py",
+        "solver.py",
         "sorted((w[e] - u[e], parent[e]) for e in path[:-1])",
         "sorted(((w[e] - u[e], parent[e]) for e in path[:-1]), reverse=True)",
         (SMALL_BATTERY,)),

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from interdict import (
     SHAPES,
-    Chain,
-    DpTables,
     GeneratorConfig,
     InstanceError,
     all_upgraded_min_distance,
@@ -21,14 +19,14 @@ from interdict import (
     brute_force_max,
     build_tables,
     build_tree,
-    decompose,
     evaluate_min_distance,
     random_tree,
     solve_cost,
     solve_max,
 )
 from interdict import solver
-from interdict.solver import _convolve, chain_g_table
+from interdict.solver import (Chain, DpTables, _convolve, chain_g_table,
+                              decompose)
 
 from conftest import make_spider
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interdict import decompose, solver
+from interdict import solver
+from interdict.solver import decompose
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)

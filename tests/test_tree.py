@@ -14,10 +14,10 @@ from interdict import (
     UpgradeBelowBase,
     all_upgraded_min_distance,
     build_tree,
-    decompose,
     evaluate_min_distance,
     random_tree,
 )
+from interdict.solver import decompose
 from interdict.tree import AppliedWeights
 from conftest import EX1_RECORDS
 
